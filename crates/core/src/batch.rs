@@ -52,13 +52,12 @@
 use crate::evaluate::{execute_schedule, Evaluation};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::{GraphPlan, Schedule};
+use crate::schedule::Schedule;
 use crate::workspace::Workspace;
-use crate::{ConvolutionKernel, ExecMode};
+use crate::ConvolutionKernel;
 use psmd_multidouble::Coeff;
 use psmd_runtime::{CancelToken, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
 use psmd_series::Series;
-use std::sync::OnceLock;
 
 /// The evaluations of one batch, plus the aggregate kernel timings of the
 /// shared launches.
@@ -107,15 +106,12 @@ impl<C: Coeff> Default for BatchEvaluation<C> {
 /// Evaluates a whole batch through one polynomial's schedule, writing every
 /// instance's value and gradient into `out` — the shared internal of the
 /// engine's single-polynomial [`Plan`](crate::Plan) under batched inputs.
-/// `graph` caches the block-level plan of one instance (batch launches
-/// replicate it per instance without cross-instance edges); all evaluation
-/// memory is borrowed from `ws`.
+/// All evaluation memory is borrowed from `ws`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch<C: Coeff>(
     poly: &Polynomial<C>,
     schedule: &Schedule,
     options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
     batch: &[Vec<Series<C>>],
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -134,21 +130,15 @@ pub(crate) fn run_batch<C: Coeff>(
     let per = layout.coeffs_per_slot();
     let stride = layout.total_coefficients();
     let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(layout.batch_total_coefficients(batch.len()), participants);
+    let (arena, scratch) = ws.parts(layout.batch_total_coefficients(batch.len()), participants);
     // Stage 0: lay every instance out back-to-back in the flat arena.
     for (i, inputs) in batch.iter().enumerate() {
         let off = layout.batch_instance_offset(i);
         schedule.fill_data_array(poly, inputs, &mut arena[off..off + stride]);
     }
-    // One graph launch (or one grid launch per layer) carries every block
-    // of every instance; `batch_slot` rebases each job into its instance's
-    // arena region, and instances occupy disjoint regions so they share no
-    // hazards.
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
+    // One grid launch per layer carries every block of every instance;
+    // `batch_slot` rebases each job into its instance's arena region, and
+    // instances occupy disjoint regions so they share no hazards.
     // The SIMD lane tier: batched evaluation is the one path with an
     // instance axis to vectorize over.  Resolve the mode (plans store it
     // resolved; direct callers may still pass `Auto`) and only engage lane
@@ -168,13 +158,11 @@ pub(crate) fn run_batch<C: Coeff>(
         execute_schedule(
             &schedule.convolution_layers,
             &schedule.addition_layers,
-            plan,
             &shared,
             per,
             options.kernel,
             pool,
             scratch,
-            graph_scratch,
             &mut timings,
             batch.len(),
             lane_width,
@@ -309,55 +297,6 @@ mod tests {
             result.timings.addition_blocks,
             batch.len() * schedule.addition_jobs()
         );
-    }
-
-    #[test]
-    fn graph_mode_batch_is_bitwise_identical_with_one_rendezvous() {
-        let d = 5;
-        let p = paper_example(d);
-        let batch = random_batch(6, d, 9, 3);
-        let engine = Engine::builder().threads(3).build();
-        let layered = engine.compile(p.clone());
-        let graph =
-            engine.compile_with_options(p, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        let a = layered.request(&batch).run().into_batch();
-        let before = engine.pool().rendezvous_count();
-        let b = graph.request(&batch).run().into_batch();
-        assert_eq!(engine.pool().rendezvous_count(), before + 1);
-        for (x, y) in a.instances.iter().zip(b.instances.iter()) {
-            assert_eq!(x.value, y.value, "graph batch must be bitwise identical");
-            assert_eq!(x.gradient, y.gradient);
-        }
-        assert_eq!(b.timings.graph_launches, 1);
-        let schedule = layered.schedule().expect("single plan");
-        assert_eq!(
-            b.timings.convolution_blocks,
-            batch.len() * schedule.convolution_jobs()
-        );
-        assert_eq!(
-            b.timings.addition_blocks,
-            batch.len() * schedule.addition_jobs()
-        );
-    }
-
-    #[test]
-    fn graph_mode_batch_runs_inline_on_a_zero_worker_pool() {
-        let d = 4;
-        let p = paper_example(d);
-        let batch = random_batch(6, d, 5, 7);
-        let engine = Engine::builder()
-            .threads(0)
-            .exec_mode(ExecMode::Graph)
-            .build();
-        let plan = engine.compile(p);
-        let seq = plan.request(&batch).sequential().run().into_batch();
-        let par = plan.request(&batch).run().into_batch();
-        for (a, b) in seq.instances.iter().zip(par.instances.iter()) {
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.gradient, b.gradient);
-        }
-        assert_eq!(engine.pool().rendezvous_count(), 0);
-        assert_eq!(par.timings.graph_launches, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! evaluation is the cheap, endlessly repeated part.  The engine makes that
 //! split explicit and production-shaped:
 //!
-//! * [`EngineBuilder`] configures precision, kernel, execution mode and
+//! * [`EngineBuilder`] configures precision, kernel, SIMD mode and
 //!   thread count once; [`Engine`] owns its [`WorkerPool`] and is
 //!   `Send + Sync`.
 //! * [`Engine::compile`] turns a [`PolySource`] (a single polynomial or a
@@ -74,7 +74,7 @@ use crate::evaluate::{run_single, Evaluation};
 use crate::monomial::Monomial;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::{GraphPlan, Schedule};
+use crate::schedule::Schedule;
 use crate::system::{
     run_system, run_system_batch, SystemBatchEvaluation, SystemEvaluation, SystemSchedule,
 };
@@ -87,7 +87,7 @@ use std::any::{Any, TypeId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What a [`Plan`] is compiled from: one polynomial or a whole system.
 ///
@@ -336,8 +336,8 @@ pub enum EvalOutput<C> {
 impl<C: Coeff> EvalOutput<C> {
     /// The kernel timings of the run, whichever variant it is.  The
     /// [`KernelTimings::pool_rendezvous`] field carries the pool rendezvous
-    /// paid by this evaluation, so the one-rendezvous invariant of graph
-    /// mode is checkable from the result alone.
+    /// paid by this evaluation, so the one-rendezvous-per-layer invariant is
+    /// checkable from the result alone.
     pub fn timings(&self) -> &KernelTimings {
         match self {
             EvalOutput::Single(e) => &e.timings,
@@ -440,7 +440,7 @@ impl<C: Coeff> EvalOutput<C> {
     /// gradient, Jacobian — is **bit-for-bit** identical (timings are
     /// ignored).  Unlike float `PartialEq`, equal-bit NaNs compare equal and
     /// `-0.0` differs from `0.0`, so this really is the bitwise-identity
-    /// check the graph-vs-layered guarantee is stated in terms of.
+    /// check the parallel-vs-sequential guarantee is stated in terms of.
     pub fn bitwise_eq(&self, other: &EvalOutput<C>) -> bool {
         let eval_eq = |a: &Evaluation<C>, b: &Evaluation<C>| {
             series_bits_eq(&a.value, &b.value) && series_slice_bits_eq(&a.gradient, &b.gradient)
@@ -476,9 +476,7 @@ impl<C: Coeff> EvalOutput<C> {
 }
 
 /// Structure counts of a compiled plan, for reports and capacity planning.
-/// All fields derive from the job schedule alone; the dependency-graph
-/// numbers live in [`GraphPlanStats`] so that reading these does not force
-/// graph-plan construction on layered-mode plans.
+/// All fields derive from the job schedule alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanStats {
     /// Number of equations (1 for a single-polynomial plan).
@@ -502,18 +500,6 @@ pub struct PlanStats {
     pub total_monomials: usize,
 }
 
-/// Structure counts of a plan's dependency graph (see
-/// [`Plan::graph_stats`]; building them constructs the graph plan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphPlanStats {
-    /// Blocks of the dependency graph (convolution plus addition jobs).
-    pub blocks: usize,
-    /// Dependency edges of the graph plan.
-    pub edges: usize,
-    /// Longest dependency chain, in blocks.
-    pub critical_path: usize,
-}
-
 /// The compiled schedule of one [`PolySource`].
 enum PlanKind {
     Single(Schedule),
@@ -521,8 +507,7 @@ enum PlanKind {
 }
 
 /// An owned, compiled evaluation plan: the polynomial source, its job
-/// schedule, layout and (lazily built) dependency-graph plan, plus a handle
-/// to the worker pool it evaluates on.
+/// schedule and layout, plus a handle to the worker pool it evaluates on.
 ///
 /// Plans are `'static`, `Send + Sync` and handed out as [`Arc<Plan>`] by
 /// [`Engine::compile`]: clone the `Arc` freely, evaluate from as many
@@ -533,7 +518,6 @@ pub struct Plan<C: Coeff> {
     options: EvalOptions,
     pool: Arc<WorkerPool>,
     workspaces: Arc<WorkspacePool<C>>,
-    graph: OnceLock<GraphPlan>,
 }
 
 impl<C: Coeff> Plan<C> {
@@ -565,7 +549,6 @@ impl<C: Coeff> Plan<C> {
             options,
             pool,
             workspaces,
-            graph: OnceLock::new(),
         }
     }
 
@@ -595,18 +578,8 @@ impl<C: Coeff> Plan<C> {
         }
     }
 
-    /// The block-level dependency-graph plan, built once on first use and
-    /// shared by every graph-mode evaluation of this plan.
-    pub fn graph_plan(&self) -> &GraphPlan {
-        self.graph.get_or_init(|| match &self.kind {
-            PlanKind::Single(s) => s.graph_plan(),
-            PlanKind::System(s) => s.graph_plan(),
-        })
-    }
-
     /// Structure counts of the compiled schedule.  Cheap: reads the job
-    /// schedule only; the dependency-graph numbers are in
-    /// [`Plan::graph_stats`] (which does build the graph plan).
+    /// schedule only.
     pub fn stats(&self) -> PlanStats {
         let (conv_layers, add_layers, conv_jobs, add_jobs, unique, total) = match &self.kind {
             PlanKind::Single(s) => {
@@ -645,21 +618,9 @@ impl<C: Coeff> Plan<C> {
         }
     }
 
-    /// Structure counts of the dependency graph, building (and caching) the
-    /// graph plan on first call.
-    pub fn graph_stats(&self) -> GraphPlanStats {
-        let graph = self.graph_plan();
-        GraphPlanStats {
-            blocks: graph.blocks(),
-            edges: graph.graph.num_edges(),
-            critical_path: graph.graph.critical_path_len(),
-        }
-    }
-
     /// A workspace pre-sized for this plan: scratch lanes for every
-    /// participant of the engine's pool, arena capacity for one
-    /// (non-batched) evaluation, and graph scratch for the whole block
-    /// graph.  Pass it to [`EvalRequest::workspace`] to manage reuse
+    /// participant of the engine's pool and arena capacity for one
+    /// (non-batched) evaluation.  Pass it to [`EvalRequest::workspace`] to manage reuse
     /// explicitly.  The workspace-side buffers are warm from the start
     /// (including the SIMD lane panels at the plan's resolved lane width),
     /// so even the *first* `request(..).workspace(&mut ws).into(&mut out)`
@@ -668,23 +629,12 @@ impl<C: Coeff> Plan<C> {
     /// its returned output, and threaded pools pay their constant
     /// per-launch control allocations.
     pub fn create_workspace(&self) -> Workspace<C> {
-        let per;
-        let arena;
-        let blocks;
-        match &self.kind {
-            PlanKind::Single(s) => {
-                per = s.layout.coeffs_per_slot();
-                arena = s.layout.total_coefficients();
-                blocks = s.convolution_jobs() + s.addition_jobs();
-            }
-            PlanKind::System(s) => {
-                per = s.layout.coeffs_per_slot();
-                arena = s.layout.total_coefficients();
-                blocks = s.convolution_jobs() + s.addition_jobs();
-            }
-        }
+        let (per, arena) = match &self.kind {
+            PlanKind::Single(s) => (s.layout.coeffs_per_slot(), s.layout.total_coefficients()),
+            PlanKind::System(s) => (s.layout.coeffs_per_slot(), s.layout.total_coefficients()),
+        };
         let mut ws = Workspace::new(self.pool.parallelism());
-        ws.warm_for(arena, per, blocks, self.options.kernel);
+        ws.warm_for(arena, per, self.options.kernel);
         ws.warm_lanes(per, self.options.simd.lane_width());
         ws
     }
@@ -799,17 +749,7 @@ impl<C: Coeff> Plan<C> {
                 let PolySource::Single(poly) = &self.source else {
                     unreachable!("single plan with system source")
                 };
-                run_single(
-                    poly,
-                    schedule,
-                    self.options,
-                    &self.graph,
-                    z,
-                    pool,
-                    cancel,
-                    ws,
-                    single,
-                );
+                run_single(poly, schedule, self.options, z, pool, cancel, ws, single);
             }
             (PlanKind::Single(schedule), Inputs::Batch(batch), EvalOutput::Batch(batched)) => {
                 let PolySource::Single(poly) = &self.source else {
@@ -819,7 +759,6 @@ impl<C: Coeff> Plan<C> {
                     poly,
                     schedule,
                     self.options,
-                    &self.graph,
                     batch,
                     pool,
                     cancel,
@@ -831,17 +770,7 @@ impl<C: Coeff> Plan<C> {
                 let PolySource::System(polys) = &self.source else {
                     unreachable!("system plan with single source")
                 };
-                run_system(
-                    polys,
-                    schedule,
-                    self.options,
-                    &self.graph,
-                    z,
-                    pool,
-                    cancel,
-                    ws,
-                    system,
-                );
+                run_system(polys, schedule, self.options, z, pool, cancel, ws, system);
             }
             (
                 PlanKind::System(schedule),
@@ -855,7 +784,6 @@ impl<C: Coeff> Plan<C> {
                     polys,
                     schedule,
                     self.options,
-                    &self.graph,
                     batch,
                     pool,
                     cancel,
@@ -1099,12 +1027,6 @@ impl EngineBuilder {
     /// Sets the convolution kernel variant of compiled plans.
     pub fn kernel(mut self, kernel: crate::ConvolutionKernel) -> Self {
         self.options.kernel = kernel;
-        self
-    }
-
-    /// Sets the pool execution mode of compiled plans.
-    pub fn exec_mode(mut self, exec_mode: crate::ExecMode) -> Self {
-        self.options.exec_mode = exec_mode;
         self
     }
 
@@ -1638,17 +1560,7 @@ macro_rules! define_any_api {
                 }
             }
 
-            /// Structure counts of the dependency graph, building (and
-            /// caching) the graph plan on first call.
-            pub fn graph_stats(&self) -> GraphPlanStats {
-                match self {
-                    $( AnyPlan::$variant(plan) => plan.graph_stats(), )+
-                }
-            }
-
-            /// The single-polynomial schedule, if this is a single plan
-            /// (cheaper than [`AnyPlan::stats`], which also builds the
-            /// graph plan).
+            /// The single-polynomial schedule, if this is a single plan.
             pub fn schedule(&self) -> Option<&Schedule> {
                 match self {
                     $( AnyPlan::$variant(plan) => plan.schedule(), )+
@@ -1941,7 +1853,7 @@ define_any_api! {
 mod tests {
     use super::*;
     use crate::generators::{random_inputs, random_polynomial};
-    use crate::{ConvolutionKernel, ExecMode};
+    use crate::ConvolutionKernel;
     use psmd_multidouble::{Dd, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2084,7 +1996,7 @@ mod tests {
         // Different options coexist with the default-options plan.
         let g = engine.compile_with_options(
             paper_example(d),
-            EvalOptions::new().with_exec_mode(ExecMode::Graph),
+            EvalOptions::new().with_kernel(ConvolutionKernel::Direct),
         );
         assert!(!Arc::ptr_eq(&a, &g));
         assert_eq!(engine.cache_stats().entries, 3);
@@ -2157,23 +2069,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_mode_pays_one_rendezvous_visible_in_timings() {
-        let d = 6;
-        let engine = Engine::builder()
-            .threads(3)
-            .exec_mode(ExecMode::Graph)
-            .build();
-        let plan = engine.compile(paper_example(d));
-        let z = random_z(6, d, 11);
-        let out = plan.request(&z).run();
-        assert_eq!(out.timings().pool_rendezvous, 1);
-        assert_eq!(out.timings().graph_launches, 1);
-        let seq = plan.request(&z).sequential().run();
-        assert_eq!(seq.timings().pool_rendezvous, 0);
-        assert!(out.bitwise_eq(&seq));
-    }
-
-    #[test]
     fn plan_stats_report_the_schedule_structure() {
         let d = 2;
         let engine = Engine::builder().threads(0).build();
@@ -2187,10 +2082,6 @@ mod tests {
         assert_eq!(stats.addition_jobs, 7);
         assert_eq!(stats.unique_monomials, 3);
         assert_eq!(stats.total_monomials, 3);
-        let graph = plan.graph_stats();
-        assert_eq!(graph.blocks, 28);
-        assert!(graph.edges > 0);
-        assert!(graph.critical_path > 1);
     }
 
     #[test]

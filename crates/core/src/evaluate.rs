@@ -19,21 +19,18 @@
 //! keeps steady-state evaluation allocation-free (the CPU analogue of the
 //! paper's pre-sized shared-memory staging).
 
-use crate::lanes::{run_convolution_job_lanes, run_graph_node_lanes, LaneLayout, LaneUnit};
+use crate::lanes::{run_convolution_job_lanes, LaneLayout, LaneUnit};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::{AddJob, ConvJob, GraphPlan, Schedule};
+use crate::schedule::{AddJob, ConvJob, Schedule};
 use crate::workspace::{ConvScratch, Workspace};
 use parking_lot::Mutex;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{
-    CancelToken, InlineGraphScratch, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool,
-};
+use psmd_runtime::{CancelToken, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
 use psmd_series::{
     add_assign_slices, convolve_fft, convolve_karatsuba, convolve_seq, convolve_zero_insertion,
     Series,
 };
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which convolution kernel the scheduled evaluator uses for its jobs.
@@ -60,21 +57,6 @@ pub enum ConvolutionKernel {
     /// [`Engine::compile`](crate::Engine::compile); the resolved choice is
     /// visible in the plan's options.
     Auto,
-}
-
-/// How the evaluators execute the job schedule on the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// One kernel launch per job layer with a pool-wide barrier between
-    /// layers — the paper's execution model, kept as the reference path.
-    #[default]
-    Layered,
-    /// One task-graph launch per evaluation: every block is released to the
-    /// per-worker work-stealing deques the moment its input convolutions
-    /// retire, so the whole evaluation costs a single pool rendezvous.
-    /// Bitwise identical to [`ExecMode::Layered`] (the graph preserves the
-    /// per-slot operation order of the layered schedule).
-    Graph,
 }
 
 /// The value and gradient of a polynomial at a vector of power series,
@@ -196,11 +178,10 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// instance's region (identity for single and system evaluation, the
 /// instance shift for batched evaluation).
 ///
-/// Runs the layered reference launches (one per layer, `instances × jobs`
-/// blocks each), or — when `graph` is given — one dependency-driven launch
-/// for the whole schedule.  All job staging is borrowed from the
-/// per-participant `scratch` lanes; zero-worker pools run the graph inline
-/// through the reusable `graph_scratch`.
+/// Runs one launch per layer (`instances × jobs` blocks each), with the
+/// launch's rendezvous as the barrier between layers — the paper's
+/// execution model.  All job staging is borrowed from the per-participant
+/// `scratch` lanes.
 ///
 /// `lane_width >= 2` engages the SIMD lane tier: the instance axis is
 /// decomposed by [`LaneLayout`] into full lane groups (each executing one
@@ -220,13 +201,11 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 pub(crate) fn execute_schedule<C: Coeff>(
     convolution_layers: &[Vec<ConvJob>],
     addition_layers: &[Vec<AddJob>],
-    graph: Option<&GraphPlan>,
     shared: &SharedSlice<'_, C>,
     per: usize,
     kernel: ConvolutionKernel,
     pool: Option<&WorkerPool>,
     scratch: &[Mutex<ConvScratch<C>>],
-    graph_scratch: &mut InlineGraphScratch,
     timings: &mut KernelTimings,
     instances: usize,
     lane_width: usize,
@@ -237,53 +216,7 @@ pub(crate) fn execute_schedule<C: Coeff>(
         return true;
     }
     let lanes = LaneLayout::new(instances, lane_width);
-    if let (Some(plan), Some(pool)) = (graph, pool) {
-        // Dependency-driven path: every convolution and addition of every
-        // instance in one graph launch — one pool rendezvous for the whole
-        // evaluation (none at all on a zero-worker pool, which drains the
-        // graph inline in dependency order through the workspace's reusable
-        // scratch).  Block b runs node b % nodes of unit b / nodes, where a
-        // unit is one instance (scalar) or one lane group of `lane_width`
-        // instances; dependency edges apply within each unit (instances
-        // occupy disjoint arena regions, so units share no hazards, and a
-        // lane group preserves each member instance's node order).
-        let nodes = plan.blocks();
-        let start = Instant::now();
-        let body = |lane: usize, b: usize| {
-            let mut s = scratch[lane].lock();
-            match lanes.unit(b / nodes) {
-                LaneUnit::Group { first } => run_graph_node_lanes(
-                    plan,
-                    b % nodes,
-                    shared,
-                    per,
-                    kernel,
-                    &mut s,
-                    lanes.width(),
-                    first,
-                    &map_slot,
-                ),
-                LaneUnit::Scalar { instance } => {
-                    run_graph_node(plan, b % nodes, shared, per, kernel, &mut s, |slot| {
-                        map_slot(instance, slot)
-                    })
-                }
-            }
-        };
-        let completed = if pool.worker_threads() > 0 {
-            pool.launch_graph_indexed_cancellable(&plan.graph, lanes.units(), cancel, body)
-        } else {
-            plan.graph
-                .run_inline_cancellable(lanes.units(), graph_scratch, cancel, |b| body(0, b))
-        };
-        timings.record_graph(
-            start.elapsed(),
-            instances * plan.conv.len(),
-            instances * plan.add.len(),
-        );
-        return completed;
-    }
-    // Layered reference path.  Block b runs job b % jobs of unit b / jobs
+    // Block b runs job b % jobs of unit b / jobs
     // (a scalar instance or a whole lane group); disjointness within a
     // layer carries over to the rebased slots because distinct instances
     // write distinct regions.
@@ -372,10 +305,9 @@ fn run_blocks_inline(
 
 /// Runs the two-stage algorithm of one polynomial's schedule at one input
 /// vector, writing value and gradient into `out` — the shared internal of
-/// the engine's single-polynomial [`Plan`](crate::Plan).  `graph` caches the
-/// block-level plan across evaluations (built on first graph-mode use); all
-/// evaluation memory is borrowed from `ws`, so a warm workspace makes the
-/// run allocation-free.
+/// the engine's single-polynomial [`Plan`](crate::Plan).  All evaluation
+/// memory is borrowed from `ws`, so a warm workspace makes the run
+/// allocation-free.
 ///
 /// When `cancel` trips mid-run the schedule is abandoned at the next block
 /// boundary: extraction is skipped (the arena holds partial results),
@@ -386,7 +318,6 @@ pub(crate) fn run_single<C: Coeff>(
     poly: &Polynomial<C>,
     schedule: &Schedule,
     options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
     inputs: &[Series<C>],
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -397,25 +328,18 @@ pub(crate) fn run_single<C: Coeff>(
     let mut timings = KernelTimings::new();
     let per = schedule.layout.coeffs_per_slot();
     let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(schedule.layout.total_coefficients(), participants);
+    let (arena, scratch) = ws.parts(schedule.layout.total_coefficients(), participants);
     schedule.fill_data_array(poly, inputs, arena);
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
     let completed = {
         let shared = SharedSlice::new(&mut *arena);
         execute_schedule(
             &schedule.convolution_layers,
             &schedule.addition_layers,
-            plan,
             &shared,
             per,
             options.kernel,
             pool,
             scratch,
-            graph_scratch,
             &mut timings,
             1,
             1,
@@ -443,39 +367,6 @@ pub(crate) fn run_single<C: Coeff>(
     }
     timings.wall_clock = wall.elapsed();
     out.timings = timings;
-}
-
-/// Executes one node of a [`GraphPlan`] on the shared data array: node ids
-/// below `plan.conv.len()` are convolution jobs, the rest addition jobs.
-/// `map_slot` rebases slots into the arena (identity for single and system
-/// evaluation, the instance shift for batched evaluation), so the three
-/// graph-mode paths share one dispatch.
-pub(crate) fn run_graph_node<C: Coeff>(
-    plan: &GraphPlan,
-    node: usize,
-    shared: &SharedSlice<'_, C>,
-    per: usize,
-    kernel: ConvolutionKernel,
-    scratch: &mut ConvScratch<C>,
-    map_slot: impl Fn(usize) -> usize,
-) {
-    let n_conv = plan.conv.len();
-    if node < n_conv {
-        let job = plan.conv[node];
-        let mapped = ConvJob {
-            in1: map_slot(job.in1),
-            in2: map_slot(job.in2),
-            out: map_slot(job.out),
-        };
-        run_convolution_job(shared, &mapped, per, kernel, scratch);
-    } else {
-        let job = plan.add[node - n_conv];
-        let mapped = AddJob {
-            src: map_slot(job.src),
-            dst: map_slot(job.dst),
-        };
-        run_addition_job(shared, &mapped, per);
-    }
 }
 
 /// Executes one convolution job on the shared data array.
@@ -641,56 +532,6 @@ mod tests {
         assert_eq!(par.timings.convolution_blocks, schedule.convolution_jobs());
         assert_eq!(par.timings.addition_blocks, schedule.addition_jobs());
         assert!(par.timings.wall_clock_ms() >= par.timings.sum_ms() * 0.5);
-    }
-
-    #[test]
-    fn graph_mode_is_bitwise_identical_and_pays_one_rendezvous() {
-        let d = 8;
-        let p = paper_example(d);
-        let mut rng = StdRng::seed_from_u64(5);
-        let z: Vec<Series<Qd>> = (0..6).map(|_| Series::random(&mut rng, d)).collect();
-        let engine = Engine::builder().threads(3).build();
-        let layered = engine.compile(p.clone());
-        let graph =
-            engine.compile_with_options(p, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        assert_eq!(graph.options().exec_mode, ExecMode::Graph);
-        let a = layered.request(&z).run().into_single();
-        let before = engine.pool().rendezvous_count();
-        let b = graph.request(&z).run().into_single();
-        // The whole evaluation costs exactly one pool rendezvous, against
-        // one per layer (with >= 2 blocks) on the layered path.
-        assert_eq!(engine.pool().rendezvous_count(), before + 1);
-        assert_eq!(a.value, b.value, "graph mode must be bitwise identical");
-        assert_eq!(a.gradient, b.gradient);
-        assert_eq!(b.timings.graph_launches, 1);
-        assert_eq!(b.timings.convolution_launches, 0);
-        assert_eq!(b.timings.addition_launches, 0);
-        let schedule = layered.schedule().expect("single plan");
-        assert_eq!(b.timings.convolution_blocks, schedule.convolution_jobs());
-        assert_eq!(b.timings.addition_blocks, schedule.addition_jobs());
-    }
-
-    #[test]
-    fn graph_mode_matches_on_a_zero_worker_pool() {
-        // PSMD_THREADS=0 degenerates to inline dependency-order execution;
-        // it must still be bitwise identical to the sequential reference.
-        let d = 5;
-        let p = paper_example(d);
-        let mut rng = StdRng::seed_from_u64(29);
-        let z: Vec<Series<Qd>> = (0..6).map(|_| Series::random(&mut rng, d)).collect();
-        let engine = Engine::builder()
-            .threads(0)
-            .exec_mode(ExecMode::Graph)
-            .build();
-        let plan = engine.compile(p);
-        let seq = plan.request(&z).sequential().run().into_single();
-        let par = plan.request(&z).run().into_single();
-        assert_eq!(seq.value, par.value);
-        assert_eq!(seq.gradient, par.gradient);
-        // The inline path never wakes a pool.
-        assert_eq!(engine.pool().rendezvous_count(), 0);
-        // It still reports the graph launch it performed.
-        assert_eq!(par.timings.graph_launches, 1);
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!    ([`Engine::compile`] returns an `Arc<`[`Plan`]`>`; repeat compiles hit
 //!    a structural plan cache) and evaluate at any input series — one
 //!    vector, a whole batch, or a system — with the [`Plan::request`]
-//!    builder, layered (one kernel launch per layer) or dependency-driven
-//!    ([`ExecMode::Graph`]: one task-graph launch, hence one pool
-//!    rendezvous, per evaluation), collecting per-kernel timings.  All
+//!    builder — one kernel launch per layer with a barrier between layers,
+//!    as in the paper — collecting per-kernel timings.  All
 //!    evaluation memory is borrowed from pooled [`Workspace`]s, so
 //!    steady-state evaluation allocates nothing
 //!    (`request(..).into(&mut out)` for callers that also reuse the
@@ -84,11 +83,11 @@ pub use counts::{
 pub use crossover::{auto_kernel, crossover_for, Crossover, CROSSOVER_TABLE};
 pub use engine::{
     AnyEvalOutput, AnyEvalRequest, AnyInputs, AnyPlan, AnyPolySource, BoundAnyEvalRequest,
-    BoundEvalRequest, Engine, EngineBuilder, EvalOutput, EvalRequest, GraphPlanStats, Inputs,
-    OwnedInputs, Plan, PlanCacheStats, PlanStats, PolySource,
+    BoundEvalRequest, Engine, EngineBuilder, EvalOutput, EvalRequest, Inputs, OwnedInputs, Plan,
+    PlanCacheStats, PlanStats, PolySource,
 };
 pub use error::Error;
-pub use evaluate::{evaluate_naive, ConvolutionKernel, Evaluation, ExecMode};
+pub use evaluate::{evaluate_naive, ConvolutionKernel, Evaluation};
 pub use generators::{
     banded_supports, binomial, combinations, polynomial_with_supports, random_inputs,
     random_polynomial,
@@ -102,7 +101,7 @@ pub use newton::{
 pub use options::{EvalOptions, SimdMode};
 pub use polynomial::Polynomial;
 pub use psmd_runtime::CancelToken;
-pub use schedule::{AddJob, ConvJob, DataLayout, GraphPlan, ResultLocation, Schedule};
+pub use schedule::{AddJob, ConvJob, DataLayout, ResultLocation, Schedule};
 pub use system::{
     evaluate_naive_system, SystemBatchEvaluation, SystemEvaluation, SystemLayout, SystemSchedule,
 };

@@ -44,13 +44,11 @@
 use crate::error::Error;
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
-use crate::schedule::GraphPlan;
 use crate::system::{run_system, SystemEvaluation, SystemSchedule};
 use crate::workspace::Workspace;
 use psmd_multidouble::RealCoeff;
 use psmd_runtime::WorkerPool;
 use psmd_series::Series;
-use std::sync::OnceLock;
 
 /// Options of the Newton iteration.
 #[derive(Debug, Clone, Copy)]
@@ -209,7 +207,6 @@ fn try_newton_system_impl<C: RealCoeff>(
     // the evaluation output, the negated right-hand side, the update, and
     // the staged-solve workspace.  Steps after the first allocate nothing.
     let schedule = SystemSchedule::build(polys);
-    let graph: OnceLock<GraphPlan> = OnceLock::new();
     let mut ws = Workspace::new(pool.map_or(1, WorkerPool::parallelism));
     let mut eval = SystemEvaluation::empty();
     let mut rhs: Vec<Series<C>> = Vec::new();
@@ -228,7 +225,6 @@ fn try_newton_system_impl<C: RealCoeff>(
             polys,
             &schedule,
             EvalOptions::default(),
-            &graph,
             &z,
             pool,
             None,
@@ -258,7 +254,6 @@ fn try_newton_system_impl<C: RealCoeff>(
             polys,
             &schedule,
             EvalOptions::default(),
-            &graph,
             &z,
             pool,
             None,

@@ -1,12 +1,11 @@
 //! Shared evaluation options.
 //!
 //! The engine ([`crate::Engine`]) and every plan it compiles expose the same
-//! knobs: which convolution kernel to run, how to execute the schedule on
-//! the worker pool, and whether batched evaluation packs instances into
-//! SIMD lane groups.  This module holds the one struct they share, plus the
+//! knobs: which convolution kernel to run and whether batched evaluation
+//! packs instances into SIMD lane groups.  This module holds the one struct they share, plus the
 //! [`SimdMode`] selector and its `PSMD_SIMD` environment contract.
 
-use crate::evaluate::{ConvolutionKernel, ExecMode};
+use crate::evaluate::ConvolutionKernel;
 use psmd_multidouble::lanes;
 
 /// How batched evaluation uses the machine's vector units.
@@ -112,8 +111,7 @@ impl SimdMode {
 }
 
 /// The evaluation knobs shared by the engine and its compiled plans: the
-/// convolution kernel variant, the pool execution mode and the SIMD lane
-/// mode.
+/// convolution kernel variant and the SIMD lane mode.
 ///
 /// `EvalOptions` is part of the engine's plan-cache key, so it is `Hash`
 /// and `Eq`: plans compiled with different options coexist in the cache.
@@ -121,16 +119,13 @@ impl SimdMode {
 pub struct EvalOptions {
     /// Which convolution kernel the jobs run (ablation knob).
     pub kernel: ConvolutionKernel,
-    /// How parallel evaluation executes on the pool: layered launches or one
-    /// dependency-driven task-graph launch.
-    pub exec_mode: ExecMode,
     /// Whether batched evaluation packs instances into SIMD lane groups.
     pub simd: SimdMode,
 }
 
 impl EvalOptions {
-    /// The default options: zero-insertion kernel, layered execution, SIMD
-    /// lanes auto-detected.
+    /// The default options: zero-insertion kernel, SIMD lanes
+    /// auto-detected.
     pub fn new() -> Self {
         Self::default()
     }
@@ -138,12 +133,6 @@ impl EvalOptions {
     /// Selects the convolution kernel variant.
     pub fn with_kernel(mut self, kernel: ConvolutionKernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Selects the pool execution mode.
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
         self
     }
 
@@ -162,16 +151,13 @@ mod tests {
     fn builder_methods_set_the_knobs() {
         let o = EvalOptions::new()
             .with_kernel(ConvolutionKernel::Direct)
-            .with_exec_mode(ExecMode::Graph)
             .with_simd(SimdMode::ForceWidth(4));
         assert_eq!(o.kernel, ConvolutionKernel::Direct);
-        assert_eq!(o.exec_mode, ExecMode::Graph);
         assert_eq!(o.simd, SimdMode::ForceWidth(4));
         assert_eq!(
             EvalOptions::default().kernel,
             ConvolutionKernel::ZeroInsertion
         );
-        assert_eq!(EvalOptions::default().exec_mode, ExecMode::Layered);
         assert_eq!(EvalOptions::default().simd, SimdMode::Auto);
     }
 

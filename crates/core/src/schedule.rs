@@ -18,7 +18,6 @@
 use crate::monomial::Monomial;
 use crate::polynomial::Polynomial;
 use psmd_multidouble::Coeff;
-use psmd_runtime::{TaskGraph, TaskGraphBuilder};
 use psmd_series::Series;
 
 /// One convolution job: `data[out] := data[in1] * data[in2]` where the three
@@ -213,63 +212,6 @@ pub(crate) fn validate_job_layers(
     Ok(())
 }
 
-/// A schedule lowered to block granularity for the dependency-driven
-/// executor: the flattened job lists (convolutions first, then additions, in
-/// layered reference order) plus the [`TaskGraph`] of their data-hazard
-/// edges.
-///
-/// Block `b` of a graph launch runs `conv[b]` when `b < conv.len()` and
-/// `add[b - conv.len()]` otherwise.  Because the graph preserves, per data
-/// slot, the exact operation order of the layered schedule, any execution
-/// respecting the edges is bitwise identical to the layered result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphPlan {
-    /// The block-level dependency graph over `conv.len() + add.len()` nodes.
-    pub graph: TaskGraph,
-    /// Every convolution job, in layered order.
-    pub conv: Vec<ConvJob>,
-    /// Every addition job, in layered order.
-    pub add: Vec<AddJob>,
-}
-
-impl GraphPlan {
-    /// Total number of blocks (graph nodes).
-    pub fn blocks(&self) -> usize {
-        self.conv.len() + self.add.len()
-    }
-}
-
-/// Lowers layered convolution and addition schedules to a [`GraphPlan`]:
-/// every job becomes one graph node whose read/write slots derive the
-/// dependency edges (convolutions read their two operand slots and write
-/// their output; additions read `src` and update `dst` in place).  Shared by
-/// the single-polynomial and the system schedules.
-pub(crate) fn build_graph_plan(
-    convolution_layers: &[Vec<ConvJob>],
-    addition_layers: &[Vec<AddJob>],
-) -> GraphPlan {
-    let mut builder = TaskGraphBuilder::new();
-    let mut conv = Vec::new();
-    let mut add = Vec::new();
-    for layer in convolution_layers {
-        for job in layer {
-            builder.add_task(&[job.in1, job.in2], &[job.out]);
-            conv.push(*job);
-        }
-    }
-    for layer in addition_layers {
-        for job in layer {
-            builder.add_task(&[job.src, job.dst], &[job.dst]);
-            add.push(*job);
-        }
-    }
-    GraphPlan {
-        graph: builder.build(),
-        conv,
-        add,
-    }
-}
-
 /// The slot holding the derivative with respect to the variable at position
 /// `pos` of an `nk`-variable monomial, given the monomial's forward, backward
 /// and cross slot ranges, or `None` when the derivative is the read-only
@@ -390,14 +332,6 @@ impl Schedule {
     /// writes.  Returns a description of the first violation, if any.
     pub fn validate_layers(&self) -> Result<(), String> {
         validate_job_layers(&self.convolution_layers, &self.addition_layers)
-    }
-
-    /// Lowers the schedule to block granularity for the dependency-driven
-    /// executor: the flattened jobs plus the [`TaskGraph`] of their
-    /// data-hazard edges (each convolution depends on the jobs producing its
-    /// operand slots; output sums depend on their monomial convolutions).
-    pub fn graph_plan(&self) -> GraphPlan {
-        build_graph_plan(&self.convolution_layers, &self.addition_layers)
     }
 
     /// Populates the flat data array with the polynomial's coefficient
@@ -917,61 +851,6 @@ mod tests {
         assert!(f11.is_zero());
         // Zero extraction.
         assert!(s.extract(&data, ResultLocation::Zero).is_zero());
-    }
-
-    #[test]
-    fn graph_plan_matches_the_layer_structure_of_the_paper_example() {
-        let p = paper_example(2);
-        let s = Schedule::build(&p);
-        let plan = s.graph_plan();
-        assert_eq!(plan.blocks(), s.convolution_jobs() + s.addition_jobs());
-        assert_eq!(plan.conv.len(), s.convolution_jobs());
-        assert_eq!(plan.add.len(), s.addition_jobs());
-        plan.graph.validate().unwrap();
-        // No monomial of the example has a single variable, so the blocks
-        // that are ready at launch are exactly the first-layer convolutions.
-        assert_eq!(plan.graph.roots().len(), s.convolution_layers[0].len());
-        // The critical path must thread through every convolution layer and
-        // at least one addition.
-        assert!(plan.graph.critical_path_len() > s.convolution_layers.len());
-        // Flattened order is the layered reference order.
-        assert_eq!(
-            plan.conv[..s.convolution_layers[0].len()],
-            s.convolution_layers[0][..]
-        );
-    }
-
-    #[test]
-    fn graph_plan_chains_every_accumulation_into_a_slot() {
-        // Duplicate single-variable monomials force scratch accumulation;
-        // both `scratch += coefficient` additions update the same slot and
-        // must be chained by an edge (order decides the floating-point
-        // result).
-        let d = 0;
-        let p = Polynomial::new(
-            1,
-            coeff(0.0, d),
-            vec![
-                Monomial::new(coeff(2.0, d), vec![0]),
-                Monomial::new(coeff(5.0, d), vec![0]),
-            ],
-        );
-        let plan = Schedule::build(&p).graph_plan();
-        plan.graph.validate().unwrap();
-        let n_conv = plan.conv.len();
-        for (i, a) in plan.add.iter().enumerate() {
-            for (j, b) in plan.add.iter().enumerate().skip(i + 1) {
-                if a.dst == b.dst {
-                    assert!(
-                        plan.graph
-                            .successors(n_conv + i)
-                            .contains(&((n_conv + j) as u32)),
-                        "additions {i} and {j} into slot {} are unordered",
-                        a.dst
-                    );
-                }
-            }
-        }
     }
 
     #[test]

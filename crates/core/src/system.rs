@@ -55,20 +55,18 @@
 //! assert_eq!(eval.jacobian[1][1].coeff(0).to_f64(), 1.0);  // d f2/dx1 = 1
 //! ```
 
-use crate::evaluate::{evaluate_naive, execute_schedule, Evaluation, ExecMode};
+use crate::evaluate::{evaluate_naive, execute_schedule, Evaluation};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
 use crate::schedule::{
-    build_graph_plan, derivative_slot_in, extract_location_into, schedule_monomial_convolutions,
-    schedule_output_sums, validate_job_layers, AddJob, ConvJob, GraphPlan, OutputSum,
-    ResultLocation,
+    derivative_slot_in, extract_location_into, schedule_monomial_convolutions,
+    schedule_output_sums, validate_job_layers, AddJob, ConvJob, OutputSum, ResultLocation,
 };
 use crate::workspace::Workspace;
 use psmd_multidouble::Coeff;
 use psmd_runtime::{CancelToken, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
 use psmd_series::Series;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Positions of every series of a polynomial *system* in one flat data
 /// array: the constant term of each equation, the coefficient of each unique
@@ -402,14 +400,6 @@ impl SystemSchedule {
         validate_job_layers(&self.convolution_layers, &self.addition_layers)
     }
 
-    /// Lowers the merged schedule to block granularity for the
-    /// dependency-driven executor (see [`crate::Schedule::graph_plan`]);
-    /// shared products feed every consuming equation's summation through the
-    /// same dependency edges.
-    pub fn graph_plan(&self) -> GraphPlan {
-        build_graph_plan(&self.convolution_layers, &self.addition_layers)
-    }
-
     /// Populates the flat data array: each equation's constant, each unique
     /// monomial's coefficient (from its representative) and the shared input
     /// series; product and scratch slots are left zero.
@@ -558,8 +548,8 @@ impl<C: Coeff> SystemEvaluation<C> {
 ///
 /// A batched system run is the tracker's workhorse: the same merged
 /// [`SystemSchedule`] serves every instance (same equations, different
-/// evaluation points), so one kernel launch per merged layer — or one graph
-/// launch — covers `batch × jobs_per_layer` blocks.  The per-instance
+/// evaluation points), so one kernel launch per merged layer covers
+/// `batch × jobs_per_layer` blocks.  The per-instance
 /// [`SystemEvaluation::timings`] are empty for the same reason as in
 /// [`BatchEvaluation`](crate::BatchEvaluation): launches are shared, so
 /// counts and times are only meaningful for the batch as a whole.
@@ -607,14 +597,13 @@ impl<C: Coeff> Default for SystemBatchEvaluation<C> {
 /// [`Plan`](crate::Plan) under batched inputs, and the coalesced corrector
 /// sweep of the path tracker.  Every instance is staged back-to-back in one
 /// flat arena ([`SystemLayout::batch_slot`]), so the whole batch runs as one
-/// launch per merged layer (or one graph launch), exactly like
+/// launch per merged layer, exactly like
 /// [`run_batch`](crate::batch) does for single polynomials.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_system_batch<C: Coeff>(
     polys: &[Polynomial<C>],
     schedule: &SystemSchedule,
     options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
     batch: &[Vec<Series<C>>],
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -633,8 +622,7 @@ pub(crate) fn run_system_batch<C: Coeff>(
     let per = layout.coeffs_per_slot();
     let stride = layout.total_coefficients();
     let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(layout.batch_total_coefficients(batch.len()), participants);
+    let (arena, scratch) = ws.parts(layout.batch_total_coefficients(batch.len()), participants);
     // Stage 0: lay every instance out back-to-back in the flat arena.  The
     // constants and merged coefficients are replicated per instance so each
     // region is self-contained (jobs only ever read within their region).
@@ -642,22 +630,16 @@ pub(crate) fn run_system_batch<C: Coeff>(
         let off = layout.batch_instance_offset(i);
         schedule.fill_data_array(polys, inputs, &mut arena[off..off + stride]);
     }
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
     let completed = {
         let shared = SharedSlice::new(&mut *arena);
         execute_schedule(
             &schedule.convolution_layers,
             &schedule.addition_layers,
-            plan,
             &shared,
             per,
             options.kernel,
             pool,
             scratch,
-            graph_scratch,
             &mut timings,
             batch.len(),
             1,
@@ -707,16 +689,14 @@ pub(crate) fn run_system_batch<C: Coeff>(
 
 /// Evaluates a whole system through its merged schedule, writing all values
 /// and the full Jacobian into `out` — the shared internal of the engine's
-/// system [`Plan`](crate::Plan) and of the Newton iteration.  `graph` caches
-/// the block-level plan across evaluations (built on first graph-mode use);
-/// all evaluation memory is borrowed from `ws`, so a warm workspace makes
-/// the run allocation-free.
+/// system [`Plan`](crate::Plan) and of the Newton iteration.  All
+/// evaluation memory is borrowed from `ws`, so a warm workspace makes the
+/// run allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_system<C: Coeff>(
     polys: &[Polynomial<C>],
     schedule: &SystemSchedule,
     options: EvalOptions,
-    graph: &OnceLock<GraphPlan>,
     inputs: &[Series<C>],
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -727,29 +707,21 @@ pub(crate) fn run_system<C: Coeff>(
     let mut timings = KernelTimings::new();
     let per = schedule.layout.coeffs_per_slot();
     let participants = pool.map_or(1, WorkerPool::parallelism);
-    let (arena, scratch, graph_scratch) =
-        ws.parts(schedule.layout.total_coefficients(), participants);
+    let (arena, scratch) = ws.parts(schedule.layout.total_coefficients(), participants);
     schedule.fill_data_array(polys, inputs, arena);
     // The whole system — every equation's deduplicated products plus all m
     // values and m×n Jacobian sums — runs through the shared executor: one
-    // launch per merged layer, or one graph launch (one pool rendezvous) in
-    // graph mode.
-    let plan = match (options.exec_mode, pool) {
-        (ExecMode::Graph, Some(_)) => Some(graph.get_or_init(|| schedule.graph_plan())),
-        _ => None,
-    };
+    // launch per merged layer.
     let completed = {
         let shared = SharedSlice::new(&mut *arena);
         execute_schedule(
             &schedule.convolution_layers,
             &schedule.addition_layers,
-            plan,
             &shared,
             per,
             options.kernel,
             pool,
             scratch,
-            graph_scratch,
             &mut timings,
             1,
             1,
@@ -949,51 +921,6 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(schedule.convolution_layers.len(), max_layers);
-    }
-
-    #[test]
-    fn graph_mode_system_is_bitwise_identical_with_one_rendezvous() {
-        let d = 6;
-        let system = paper_system(d);
-        let z = random_z(6, d, 3);
-        let engine = Engine::builder().threads(3).build();
-        let layered = engine.compile(system.clone());
-        let graph =
-            engine.compile_with_options(system, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        let a = layered.request(&z).run().into_system();
-        let before = engine.pool().rendezvous_count();
-        let b = graph.request(&z).run().into_system();
-        assert_eq!(engine.pool().rendezvous_count(), before + 1);
-        assert_eq!(a.values, b.values, "graph system must be bitwise identical");
-        assert_eq!(a.jacobian, b.jacobian);
-        assert_eq!(b.timings.graph_launches, 1);
-        let schedule = layered.system_schedule().expect("system plan");
-        assert_eq!(b.timings.convolution_blocks, schedule.convolution_jobs());
-    }
-
-    #[test]
-    fn graph_mode_preserves_shared_monomial_summation_order() {
-        // Shared products are read-only contributions summed through
-        // scratch accumulators; the graph edges must serialize those sums
-        // exactly like the layered path.
-        let d = 3;
-        let shared = |dd| Monomial::new(coeff(2.0, dd), vec![0, 1, 2]);
-        let f1 = Polynomial::new(3, coeff(1.0, d), vec![shared(d)]);
-        let f2 = Polynomial::new(
-            3,
-            coeff(0.0, d),
-            vec![shared(d), Monomial::new(coeff(5.0, d), vec![1])],
-        );
-        let system = vec![f1, f2];
-        let engine = Engine::builder().threads(2).build();
-        let layered = engine.compile(system.clone());
-        let graph =
-            engine.compile_with_options(system, EvalOptions::new().with_exec_mode(ExecMode::Graph));
-        let z = random_z(3, d, 61);
-        let a = layered.request(&z).run().into_system();
-        let b = graph.request(&z).run().into_system();
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.jacobian, b.jacobian);
     }
 
     #[test]

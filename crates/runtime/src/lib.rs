@@ -11,13 +11,7 @@
 //! blocks executed in parallel, one kernel launch per layer of jobs), so the
 //! algorithmic layer above is the same code path the paper describes.
 //!
-//! Beyond the layered reference path, the crate provides a dependency-driven
-//! executor ([`WorkerPool::launch_graph`] over a [`TaskGraph`]): blocks are
-//! released to per-worker work-stealing deques as their predecessors retire,
-//! replacing the per-layer barrier with a single pool rendezvous per
-//! evaluation.
-//!
-//! Both launch shapes support **cooperative cancellation** through a shared
+//! Launches support **cooperative cancellation** through a shared
 //! [`CancelToken`] epoch, polled between block claims (never inside kernel
 //! arithmetic): a cancelled launch abandons its remaining blocks while still
 //! draining its bookkeeping, so the rendezvous completes and the pool stays
@@ -26,13 +20,11 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod graph;
 pub mod pool;
 pub mod shared;
 pub mod timer;
 
 pub use cancel::CancelToken;
-pub use graph::{InlineGraphScratch, TaskGraph, TaskGraphBuilder};
 pub use pool::{global_pool, WorkerPool};
 pub use shared::{SharedArray, SharedSlice};
 pub use timer::{duration_ms, KernelKind, KernelTimings, Stopwatch};

@@ -17,16 +17,33 @@
 //! different connections reach the plan queue concurrently and coalesce —
 //! the wire path exercises exactly the in-process protocol.
 //!
+//! Hostile input is bounded: a request line longer than [`MAX_LINE_BYTES`]
+//! gets one error reply and the connection is closed, so no client can make
+//! the server buffer an unbounded line; nesting deeper than
+//! [`json::MAX_DEPTH`](crate::json::MAX_DEPTH) is a parse error.
+//!
 //! [`MetricsSnapshot`]: crate::MetricsSnapshot
 
 use crate::json::{num_array, obj, Json};
 use crate::service::{ServeError, Service};
 use psmd_multidouble::Precision;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Longest request line the server reads, in bytes, not counting the
+/// newline.  The largest protocol request (compiling the full 1,820-monomial
+/// test polynomials, or evaluating 16 variables at degree 152) is about a
+/// tenth of this.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a connection closed for an over-long line keeps discarding the
+/// rest of the client's input, so the close does not reset the connection
+/// before the client has read the error reply.
+const CLOSE_LINGER: Duration = Duration::from_secs(2);
 
 /// A running wire server: accepts connections until shut down (or
 /// dropped).
@@ -90,16 +107,57 @@ impl Drop for WireServer {
 
 fn handle_connection(service: Arc<Service>, stream: TcpStream) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap: a line that fills it has no newline yet.
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if read == 0 {
+            return Ok(());
         }
-        let reply = handle_line(&service, &line);
-        writer.write_all(reply.to_string().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_LINE_BYTES {
+            let reply = error_reply(format!(
+                "request line longer than {MAX_LINE_BYTES} bytes; closing the connection"
+            ));
+            write_reply(&mut writer, &reply)?;
+            return linger_close(&writer, reader);
+        }
+        let reply = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => handle_line(&service, text),
+            Err(_) => error_reply("request line is not valid UTF-8"),
+        };
+        write_reply(&mut writer, &reply)?;
+    }
+}
+
+fn write_reply(writer: &mut TcpStream, reply: &Json) -> std::io::Result<()> {
+    writer.write_all(reply.to_string().as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
+/// Half-closes the connection after its final reply, then discards input
+/// through a fixed buffer until the client closes or [`CLOSE_LINGER`]
+/// passes.
+fn linger_close(writer: &TcpStream, mut reader: BufReader<TcpStream>) -> std::io::Result<()> {
+    writer.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + CLOSE_LINGER;
+    let mut sink = [0u8; 8192];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if left.is_zero() {
+            break;
+        }
+        reader.get_ref().set_read_timeout(Some(left))?;
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
     }
     Ok(())
 }

@@ -1,11 +1,12 @@
 //! End-to-end smoke of the NDJSON wire protocol: a real TCP listener on an
-//! ephemeral port, compile/eval/metrics round-trips, error replies and a
-//! clean shutdown.
+//! ephemeral port, compile/eval/metrics round-trips, error replies, bounded
+//! handling of hostile input and a clean shutdown.
 
 use psmd_core::{Engine, Polynomial};
 use psmd_multidouble::Qd;
 use psmd_series::Series;
-use psmd_serve::json::Json;
+use psmd_serve::json::{Json, MAX_DEPTH};
+use psmd_serve::wire::MAX_LINE_BYTES;
 use psmd_serve::{ServeConfig, Service, WireServer};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -184,4 +185,60 @@ fn wire_shutdown_is_idempotent_and_rebinds() {
     // The port is free again for a fresh server.
     let server = WireServer::bind(service, &addr.to_string());
     assert!(server.is_ok(), "port must be released after shutdown");
+}
+
+fn zero_worker_server() -> WireServer {
+    let service = Arc::new(Service::new(
+        Engine::builder().threads(0).build(),
+        ServeConfig::default(),
+    ));
+    WireServer::bind(service, "127.0.0.1:0").expect("bind")
+}
+
+#[test]
+fn over_long_line_gets_an_error_reply_and_closes_only_that_connection() {
+    let server = zero_worker_server();
+    let mut bystander = Client::connect(&server);
+    assert!(ok(&bystander.roundtrip(r#"{"op":"ping"}"#)));
+
+    let mut client = Client::connect(&server);
+    let line = "x".repeat(MAX_LINE_BYTES + 4096);
+    let reply = client.roundtrip(&line);
+    assert!(!ok(&reply), "{reply:?}");
+    let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("longer than"), "{message}");
+    // The server closed that connection after the reply.
+    let mut rest = String::new();
+    let read = client
+        .reader
+        .read_line(&mut rest)
+        .expect("read after close");
+    assert_eq!(read, 0, "connection must be closed, got {rest:?}");
+
+    // Other connections, old and new, are still served.
+    assert!(ok(&bystander.roundtrip(r#"{"op":"ping"}"#)));
+    let mut fresh = Client::connect(&server);
+    assert!(ok(&fresh.roundtrip(r#"{"op":"ping"}"#)));
+    // A line exactly at the cap is read, not refused for its length.
+    let ping = r#"{"op":"ping"}"#;
+    let padded = ping.to_string() + &" ".repeat(MAX_LINE_BYTES - ping.len());
+    assert!(ok(&fresh.roundtrip(&padded)));
+}
+
+#[test]
+fn deeply_nested_request_gets_an_error_reply() {
+    let server = zero_worker_server();
+    let mut client = Client::connect(&server);
+    let depth = 100_000;
+    let line = "[".repeat(depth) + &"]".repeat(depth);
+    let reply = client.roundtrip(&line);
+    assert!(!ok(&reply), "{reply:?}");
+    let message = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("nesting deeper than"), "{message}");
+    // Nesting inside an otherwise valid request is refused the same way.
+    let nested = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+    let reply = client.roundtrip(&format!(r#"{{"op":"ping","x":{nested}}}"#));
+    assert!(!ok(&reply), "{reply:?}");
+    // The connection survives.
+    assert!(ok(&client.roundtrip(r#"{"op":"ping"}"#)));
 }

@@ -1,26 +1,24 @@
 //! SIMD lane-tier identity: batched evaluation through lane groups
 //! ([`SimdMode::ForceWidth`]) must be **bitwise** identical, per instance,
 //! to the scalar batch path ([`SimdMode::Scalar`]) — across every
-//! multi-double precision, real and complex coefficients, both execution
-//! modes, and batch sizes that exercise full lane groups, the scalar
+//! multi-double precision, real and complex coefficients, and batch sizes that exercise full lane groups, the scalar
 //! remainder, and both together.  This is the invariant that makes the SIMD
 //! tier a pure throughput optimization with no numerical footprint: the
 //! lane kernels replicate the scalar error-free transformations elementwise
 //! and never reassociate (see `psmd_multidouble::lanes`).
 
 use psmd_core::{
-    random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, ExecMode, Polynomial,
-    SimdMode,
+    random_inputs, random_polynomial, ConvolutionKernel, Engine, EvalOptions, Polynomial, SimdMode,
 };
 use psmd_multidouble::{Coeff, Complex, Dd, Deca, Md, Qd, RandomCoeff};
 use psmd_series::Series;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn engine_with(exec_mode: ExecMode, simd: SimdMode) -> Engine {
+fn engine_with(simd: SimdMode) -> Engine {
     Engine::builder()
         .threads(2)
-        .options(EvalOptions::new().with_exec_mode(exec_mode).with_simd(simd))
+        .options(EvalOptions::new().with_simd(simd))
         .build()
 }
 
@@ -34,7 +32,6 @@ fn check_lanes_vs_scalar<C: Coeff + RandomCoeff>(
     degree: usize,
     batch_size: usize,
     width: usize,
-    exec_mode: ExecMode,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let p: Polynomial<C> = random_polynomial(n, monomials, n.min(6), degree, &mut rng);
@@ -42,7 +39,7 @@ fn check_lanes_vs_scalar<C: Coeff + RandomCoeff>(
         .map(|_| random_inputs::<C, _>(n, degree, &mut rng))
         .collect();
 
-    let scalar_engine = engine_with(exec_mode, SimdMode::Scalar);
+    let scalar_engine = engine_with(SimdMode::Scalar);
     let scalar_plan = scalar_engine.compile(p.clone());
     let scalar = scalar_plan.request(&batch).run().into_batch();
     assert_eq!(
@@ -50,7 +47,7 @@ fn check_lanes_vs_scalar<C: Coeff + RandomCoeff>(
         "scalar batch must report width 1"
     );
 
-    let lane_engine = engine_with(exec_mode, SimdMode::ForceWidth(width));
+    let lane_engine = engine_with(SimdMode::ForceWidth(width));
     let lane_plan = lane_engine.compile(p);
     let lanes = lane_plan.request(&batch).run().into_batch();
     assert_eq!(
@@ -84,7 +81,6 @@ fn check_widths_and_sizes<C: Coeff + RandomCoeff>(
     n: usize,
     monomials: usize,
     degree: usize,
-    exec_mode: ExecMode,
 ) {
     for (wi, &width) in SimdMode::SUPPORTED_WIDTHS.iter().enumerate() {
         for (si, size) in [width - 1, width, width + 1, 2 * width + 3]
@@ -95,38 +91,31 @@ fn check_widths_and_sizes<C: Coeff + RandomCoeff>(
                 continue;
             }
             let case_seed = seed + (wi as u64) * 100 + si as u64;
-            check_lanes_vs_scalar::<C>(case_seed, n, monomials, degree, size, width, exec_mode);
+            check_lanes_vs_scalar::<C>(case_seed, n, monomials, degree, size, width);
         }
     }
 }
 
 #[test]
 fn lane_identity_low_precisions_layered() {
-    check_widths_and_sizes::<Md<1>>(1_101, 5, 10, 4, ExecMode::Layered);
-    check_widths_and_sizes::<Dd>(1_102, 5, 10, 4, ExecMode::Layered);
-    check_widths_and_sizes::<Md<3>>(1_103, 4, 8, 3, ExecMode::Layered);
+    check_widths_and_sizes::<Md<1>>(1_101, 5, 10, 4);
+    check_widths_and_sizes::<Dd>(1_102, 5, 10, 4);
+    check_widths_and_sizes::<Md<3>>(1_103, 4, 8, 3);
 }
 
 #[test]
 fn lane_identity_high_precisions_layered() {
-    check_widths_and_sizes::<Qd>(1_204, 4, 8, 3, ExecMode::Layered);
-    check_widths_and_sizes::<Md<5>>(1_205, 4, 6, 3, ExecMode::Layered);
-    check_widths_and_sizes::<Md<8>>(1_206, 3, 6, 2, ExecMode::Layered);
-    check_widths_and_sizes::<Deca>(1_207, 3, 6, 2, ExecMode::Layered);
-}
-
-#[test]
-fn lane_identity_graph_mode() {
-    check_widths_and_sizes::<Dd>(1_302, 5, 10, 4, ExecMode::Graph);
-    check_widths_and_sizes::<Qd>(1_304, 4, 8, 3, ExecMode::Graph);
-    check_widths_and_sizes::<Deca>(1_307, 3, 6, 2, ExecMode::Graph);
+    check_widths_and_sizes::<Qd>(1_204, 4, 8, 3);
+    check_widths_and_sizes::<Md<5>>(1_205, 4, 6, 3);
+    check_widths_and_sizes::<Md<8>>(1_206, 3, 6, 2);
+    check_widths_and_sizes::<Deca>(1_207, 3, 6, 2);
 }
 
 #[test]
 fn lane_identity_complex_coefficients() {
-    check_widths_and_sizes::<Complex<Dd>>(1_411, 4, 8, 3, ExecMode::Layered);
-    check_widths_and_sizes::<Complex<Qd>>(1_412, 3, 6, 2, ExecMode::Graph);
-    check_widths_and_sizes::<Complex<Deca>>(1_413, 3, 5, 2, ExecMode::Layered);
+    check_widths_and_sizes::<Complex<Dd>>(1_411, 4, 8, 3);
+    check_widths_and_sizes::<Complex<Qd>>(1_412, 3, 6, 2);
+    check_widths_and_sizes::<Complex<Deca>>(1_413, 3, 5, 2);
 }
 
 /// `Auto` resolves to a concrete mode at compile time and its batched runs
@@ -138,7 +127,7 @@ fn auto_mode_matches_scalar_bitwise() {
     let batch: Vec<Vec<Series<Qd>>> = (0..11)
         .map(|_| random_inputs::<Qd, _>(5, 4, &mut rng))
         .collect();
-    let auto_engine = engine_with(ExecMode::Layered, SimdMode::Auto);
+    let auto_engine = engine_with(SimdMode::Auto);
     let auto_plan = auto_engine.compile(p.clone());
     assert_ne!(
         auto_plan.options().simd,
@@ -146,7 +135,7 @@ fn auto_mode_matches_scalar_bitwise() {
         "plans must carry a resolved SIMD mode"
     );
     let auto = auto_plan.request(&batch).run().into_batch();
-    let scalar_engine = engine_with(ExecMode::Layered, SimdMode::Scalar);
+    let scalar_engine = engine_with(SimdMode::Scalar);
     let scalar = scalar_engine.compile(p).request(&batch).run().into_batch();
     assert_eq!(
         auto.timings.simd_width,
@@ -207,7 +196,7 @@ fn single_evaluations_stay_scalar() {
     let mut rng = StdRng::seed_from_u64(1_700);
     let p: Polynomial<Dd> = random_polynomial(4, 8, 4, 4, &mut rng);
     let z = random_inputs::<Dd, _>(4, 4, &mut rng);
-    let engine = engine_with(ExecMode::Layered, SimdMode::ForceWidth(8));
+    let engine = engine_with(SimdMode::ForceWidth(8));
     let single = engine.compile(p).request(&z).run().into_single();
     assert_eq!(single.timings.simd_width, 0);
 }

@@ -6,16 +6,14 @@
 //! scalar remainder — exactly the kind of layout churn where a stale panel
 //! size, a missed re-warm or an off-by-one in the lane partition only
 //! surfaces after many mixed evaluations.  This loop cycles random
-//! structures, degrees, batch sizes, lane widths, precisions and both
-//! execution modes over long-lived engines, asserting the lane tier's hard
+//! structures, degrees, batch sizes, lane widths and precisions over
+//! long-lived engines, asserting the lane tier's hard
 //! invariant every iteration: **bitwise identity with the scalar batch
 //! path, per instance**.  CI runs it with `PSMD_STRESS_ITERS=200` under the
 //! `PSMD_SIMD` matrix, while the default (25) keeps `cargo test`
 //! affordable.
 
-use psmd_core::{
-    random_inputs, random_polynomial, Engine, EvalOptions, ExecMode, Polynomial, SimdMode,
-};
+use psmd_core::{random_inputs, random_polynomial, Engine, EvalOptions, Polynomial, SimdMode};
 use psmd_multidouble::{Coeff, Complex, Dd, Md, Qd, RandomCoeff};
 use psmd_runtime::WorkerPool;
 use psmd_series::Series;
@@ -29,11 +27,11 @@ fn iterations() -> usize {
         .unwrap_or(25)
 }
 
-fn engine_with(simd: SimdMode, exec_mode: ExecMode) -> Engine {
+fn engine_with(simd: SimdMode) -> Engine {
     let threads = WorkerPool::threads_from_env().unwrap_or(2);
     Engine::builder()
         .threads(threads)
-        .options(EvalOptions::new().with_simd(simd).with_exec_mode(exec_mode))
+        .options(EvalOptions::new().with_simd(simd))
         .build()
 }
 
@@ -88,35 +86,23 @@ fn stress_iteration<C: Coeff + RandomCoeff>(
 fn simd_vs_scalar_stress_loop() {
     let iters = iterations();
     let mut rng = StdRng::seed_from_u64(0x51D_CAFE);
-    // One engine pair per (width, exec mode), reused across the whole loop
-    // so pooled workspaces see plans of many shapes and precisions.
+    // One engine pair per width, reused across the whole loop so pooled
+    // workspaces see plans of many shapes and precisions.
     for &width in &SimdMode::SUPPORTED_WIDTHS {
-        for exec_mode in [ExecMode::Layered, ExecMode::Graph] {
-            let scalar_engine = engine_with(SimdMode::Scalar, exec_mode);
-            let lane_engine = engine_with(SimdMode::ForceWidth(width), exec_mode);
-            for iter in 0..iters {
-                match iter % 4 {
-                    0 => {
-                        stress_iteration::<Dd>(&scalar_engine, &lane_engine, iter, width, &mut rng)
-                    }
-                    1 => {
-                        stress_iteration::<Qd>(&scalar_engine, &lane_engine, iter, width, &mut rng)
-                    }
-                    2 => stress_iteration::<Md<8>>(
-                        &scalar_engine,
-                        &lane_engine,
-                        iter,
-                        width,
-                        &mut rng,
-                    ),
-                    _ => stress_iteration::<Complex<Dd>>(
-                        &scalar_engine,
-                        &lane_engine,
-                        iter,
-                        width,
-                        &mut rng,
-                    ),
-                }
+        let scalar_engine = engine_with(SimdMode::Scalar);
+        let lane_engine = engine_with(SimdMode::ForceWidth(width));
+        for iter in 0..iters {
+            match iter % 4 {
+                0 => stress_iteration::<Dd>(&scalar_engine, &lane_engine, iter, width, &mut rng),
+                1 => stress_iteration::<Qd>(&scalar_engine, &lane_engine, iter, width, &mut rng),
+                2 => stress_iteration::<Md<8>>(&scalar_engine, &lane_engine, iter, width, &mut rng),
+                _ => stress_iteration::<Complex<Dd>>(
+                    &scalar_engine,
+                    &lane_engine,
+                    iter,
+                    width,
+                    &mut rng,
+                ),
             }
         }
     }
