@@ -21,10 +21,11 @@
 //!                  Karatsuba vs digit-FFT) per precision and degree, with
 //!                  the Auto crossover resolution of each row
 //!   simd           measured SIMD lane tier: forced-width batched
-//!                  evaluation vs the scalar batch path per precision and
-//!                  lane width, with a bitwise-identity verdict per row
-//!                  (the detected ISA and auto width ride along as
-//!                  ungated text)
+//!                  evaluation (instance lanes) and single-point evaluation
+//!                  at degree 63 (coefficient lanes) vs the scalar path per
+//!                  precision and lane width, with a bitwise-identity
+//!                  verdict per row (the detected ISA and auto width ride
+//!                  along as ungated text)
 //!   serve          serving-layer load generator: deterministic staged
 //!                  coalescing windows plus threaded closed-loop clients
 //!                  against a psmd-serve Service
@@ -1163,14 +1164,15 @@ fn batch_report(opts: &Options, engine: &Engine) {
     }
 }
 
-/// The SIMD lane-tier report: for each precision of the ladder's working
-/// set and each supported lane width, one batch evaluated under
-/// `SimdMode::ForceWidth` and under `SimdMode::Scalar` on the same inputs.
-/// The per-row `lane_identity` flag is the bitwise-identity invariant as a
-/// deterministic exact-gated count (always 1; a 0 is a kernel bug and fails
-/// the compare gate before it fails any test suite).  Timings are
-/// tolerance-gated; the speedup ratio and the machine-dependent detection
-/// row ride along ungated.
+/// The SIMD lane-tier report, one row per precision of the ladder's working
+/// set and supported lane width, on both lane axes: a batch evaluated under
+/// `SimdMode::ForceWidth` (instance lanes) and one point at degree
+/// [`SIMD_SINGLE_DEGREE`] (coefficient lanes), each against
+/// `SimdMode::Scalar` on the same inputs.  The per-row `lane_identity` flag
+/// is the bitwise-identity invariant as a deterministic exact-gated count
+/// (always 1; a 0 is a kernel bug and fails the compare gate before it
+/// fails any test suite).  Timings are tolerance-gated; the speedup ratio
+/// and the machine-dependent detection row ride along ungated.
 fn simd_report(opts: &Options) {
     use psmd_core::SimdMode;
     use psmd_multidouble::lanes::{detect_isa, detected_lane_width};
@@ -1186,8 +1188,9 @@ fn simd_report(opts: &Options) {
     emit_banner(
         opts,
         &banner(&format!(
-            "SIMD lane tier: forced-width batched evaluation vs scalar batch \
-             ({label} {}, degree {degree}, batch {batch}, measured CPU)",
+            "SIMD lane tier vs scalar ({label} {}, measured CPU): batches of {batch} at \
+             degree {degree} on instance lanes, single points at degree {SIMD_SINGLE_DEGREE} \
+             on coefficient lanes",
             poly.label()
         )),
     );
@@ -1198,6 +1201,7 @@ fn simd_report(opts: &Options) {
         isa.name()
     );
     let mut t = TextTable::new(vec![
+        "axis",
         "precision",
         "width",
         "scalar (ms)",
@@ -1213,46 +1217,67 @@ fn simd_report(opts: &Options) {
         ("isa", JsonValue::Text(isa.name().to_string())),
         ("auto_width", JsonValue::Text(auto_width.to_string())),
     ]);
+    let mut rows = Vec::new();
     for precision in precisions {
         for width in SimdMode::SUPPORTED_WIDTHS {
-            eprintln!("simd: measuring {} at width {width}...", precision.label());
+            eprintln!(
+                "simd: measuring {} batch at width {width}...",
+                precision.label()
+            );
             let cmp = psmd_bench::simd_comparison(
                 poly, precision, degree, scale, batch, width, opts.seed,
             );
-            assert_eq!(
-                cmp.reported_width, width,
-                "the lane run must report its forced width"
-            );
-            if opts.json {
-                json.add_row(vec![
-                    ("precision", JsonValue::Text(precision.label().to_string())),
-                    ("width", JsonValue::Integer(width as i64)),
-                    ("batch", JsonValue::Integer(batch as i64)),
-                    ("degree", JsonValue::Integer(degree as i64)),
-                    ("lane_identity", JsonValue::Integer(cmp.identical as i64)),
-                    ("scalar_ms", JsonValue::Number(cmp.scalar.wall_ms)),
-                    ("lanes_ms", JsonValue::Number(cmp.lanes.wall_ms)),
-                    (
-                        "lanes_speedup",
-                        JsonValue::Number(cmp.scalar.wall_ms / cmp.lanes.wall_ms.max(1e-9)),
-                    ),
-                ]);
-            } else {
-                t.add_row(vec![
-                    precision.label().to_string(),
-                    width.to_string(),
-                    ms(cmp.scalar.wall_ms),
-                    ms(cmp.lanes.wall_ms),
-                    format!("{:.2}x", cmp.scalar.wall_ms / cmp.lanes.wall_ms.max(1e-9)),
-                    if cmp.identical { "yes" } else { "NO" }.to_string(),
-                ]);
-            }
-            assert!(
-                cmp.identical,
-                "{} width {width}: lane tier diverged from the scalar batch path",
-                precision.label()
-            );
+            rows.push(("instances", precision, degree, cmp));
         }
+    }
+    for precision in precisions {
+        eprintln!("simd: measuring {} single points...", precision.label());
+        for cmp in psmd_bench::simd_single_comparisons(
+            poly,
+            precision,
+            SIMD_SINGLE_DEGREE,
+            scale,
+            &SimdMode::SUPPORTED_WIDTHS,
+            opts.seed,
+        ) {
+            rows.push(("coefficients", precision, SIMD_SINGLE_DEGREE, cmp));
+        }
+    }
+    for (axis, precision, degree, cmp) in rows {
+        let width = cmp.width;
+        assert_eq!(
+            cmp.reported_width, width,
+            "the lane run must report its forced width"
+        );
+        let speedup = cmp.scalar.wall_ms / cmp.lanes.wall_ms.max(1e-9);
+        if opts.json {
+            json.add_row(vec![
+                ("axis", JsonValue::Text(axis.to_string())),
+                ("precision", JsonValue::Text(precision.label().to_string())),
+                ("width", JsonValue::Integer(width as i64)),
+                ("batch", JsonValue::Integer(cmp.batch as i64)),
+                ("degree", JsonValue::Integer(degree as i64)),
+                ("lane_identity", JsonValue::Integer(cmp.identical as i64)),
+                ("scalar_ms", JsonValue::Number(cmp.scalar.wall_ms)),
+                ("lanes_ms", JsonValue::Number(cmp.lanes.wall_ms)),
+                ("lanes_speedup", JsonValue::Number(speedup)),
+            ]);
+        } else {
+            t.add_row(vec![
+                axis.to_string(),
+                precision.label().to_string(),
+                width.to_string(),
+                ms(cmp.scalar.wall_ms),
+                ms(cmp.lanes.wall_ms),
+                format!("{speedup:.2}x"),
+                if cmp.identical { "yes" } else { "NO" }.to_string(),
+            ]);
+        }
+        assert!(
+            cmp.identical,
+            "{} {axis} width {width}: lane tier diverged from the scalar path",
+            precision.label()
+        );
     }
     if opts.json {
         print!("{json}");
@@ -1265,6 +1290,10 @@ fn simd_report(opts: &Options) {
         );
     }
 }
+
+/// Degree of the single-point coefficient-lane rows of the `simd` report:
+/// the repository benchmark's deep single-evaluation degree.
+const SIMD_SINGLE_DEGREE: usize = 63;
 
 /// Table 1: the five GPUs.
 fn table1() {

@@ -31,7 +31,7 @@ pub use report::{banner, log2, ms, pct, JsonReport, JsonValue, TextTable};
 pub use serve_load::{closed_loop_run, staged_run, LoadRow, StagedRow};
 pub use sweep::{
     batched_comparison, engine_amortization, measured_double_ops, measured_run, modeled_double_ops,
-    modeled_run, simd_comparison, system_comparison, workspace_comparison, BatchComparison,
-    EngineAmortization, ShapeCache, SimdComparison, SystemComparison, TimingRow,
+    modeled_run, simd_comparison, simd_single_comparisons, system_comparison, workspace_comparison,
+    BatchComparison, EngineAmortization, ShapeCache, SimdComparison, SystemComparison, TimingRow,
     WorkspaceComparison,
 };

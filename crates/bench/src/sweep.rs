@@ -197,23 +197,30 @@ pub fn batched_comparison(
     }
 }
 
-/// One measured comparison of the SIMD lane tier against the scalar batch
-/// path at one forced lane width, on the same batch of inputs.
+/// One measured comparison of the SIMD lane tier against the scalar path
+/// at one forced lane width, on the same inputs: a batch on instance lanes,
+/// or one point (`batch == 1`) on coefficient lanes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimdComparison {
     /// The forced lane width of the lane run.
     pub width: usize,
-    /// Number of instances in the batch.
+    /// Number of instances in the batch (1 for a single-point run).
     pub batch: usize,
-    /// The scalar batch run ([`psmd_core::SimdMode::Scalar`]).
+    /// The scalar run ([`psmd_core::SimdMode::Scalar`]).
     pub scalar: TimingRow,
-    /// The lane-group run ([`psmd_core::SimdMode::ForceWidth`]).
+    /// The lane run ([`psmd_core::SimdMode::ForceWidth`]).
     pub lanes: TimingRow,
-    /// Whether the two batched outputs are bitwise identical (the lane
-    /// tier's hard invariant; anything but `true` is a kernel bug).
+    /// Whether the two outputs are bitwise identical (the lane tier's hard
+    /// invariant; anything but `true` is a kernel bug).
     pub identical: bool,
     /// The lane width the lane run's timings reported.
     pub reported_width: usize,
+}
+
+fn simd_engine(simd: psmd_core::SimdMode) -> Engine {
+    Engine::builder()
+        .options(psmd_core::EvalOptions::new().with_simd(simd))
+        .build()
 }
 
 /// Measures the forced-width lane tier against the scalar batch path at one
@@ -228,20 +235,15 @@ pub fn simd_comparison(
     width: usize,
     seed: u64,
 ) -> SimdComparison {
-    use psmd_core::{EvalOptions, SimdMode};
+    use psmd_core::SimdMode;
     let seeds: Vec<u64> = (0..batch).map(|i| seed.wrapping_add(i as u64)).collect();
     let batch_inputs = poly.any_batch_inputs(precision, degree, scale, &seeds);
-    let engine_with = |simd: SimdMode| {
-        Engine::builder()
-            .options(EvalOptions::new().with_simd(simd))
-            .build()
-    };
-    let scalar_engine = engine_with(SimdMode::Scalar);
+    let scalar_engine = simd_engine(SimdMode::Scalar);
     let scalar_plan =
         scalar_engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
     let scalar_eval = scalar_plan.request(&batch_inputs).run();
     let scalar = TimingRow::from(scalar_eval.timings());
-    let lane_engine = engine_with(SimdMode::ForceWidth(width));
+    let lane_engine = simd_engine(SimdMode::ForceWidth(width));
     let lane_plan = lane_engine.compile_any(poly.any_polynomial(precision, degree, scale, seed));
     let lane_eval = lane_plan.request(&batch_inputs).run();
     SimdComparison {
@@ -252,6 +254,43 @@ pub fn simd_comparison(
         identical: scalar_eval.bitwise_eq(&lane_eval),
         reported_width: lane_eval.timings().simd_width,
     }
+}
+
+/// Measures single-point evaluation on coefficient lanes (one output
+/// coefficient per lane) at each forced width in `widths` against one
+/// scalar run of the same point, asserting nothing — the caller gates on
+/// [`SimdComparison::identical`].
+pub fn simd_single_comparisons(
+    poly: TestPolynomial,
+    precision: Precision,
+    degree: usize,
+    scale: Scale,
+    widths: &[usize],
+    seed: u64,
+) -> Vec<SimdComparison> {
+    use psmd_core::SimdMode;
+    let inputs = poly.any_inputs(precision, degree, scale, seed);
+    let scalar_eval = simd_engine(SimdMode::Scalar)
+        .compile_any(poly.any_polynomial(precision, degree, scale, seed))
+        .request(&inputs)
+        .run();
+    widths
+        .iter()
+        .map(|&width| {
+            let lane_eval = simd_engine(SimdMode::ForceWidth(width))
+                .compile_any(poly.any_polynomial(precision, degree, scale, seed))
+                .request(&inputs)
+                .run();
+            SimdComparison {
+                width,
+                batch: 1,
+                scalar: TimingRow::from(scalar_eval.timings()),
+                lanes: TimingRow::from(lane_eval.timings()),
+                identical: scalar_eval.bitwise_eq(&lane_eval),
+                reported_width: lane_eval.timings().simd_width,
+            }
+        })
+        .collect()
 }
 
 /// One measured comparison of the fused system evaluator against a loop of
@@ -596,6 +635,24 @@ mod tests {
         assert!(cmp.arena_coeffs > 0);
         // Two staging slots plus the 4(d+1) kernel scratch.
         assert_eq!(cmp.scratch_lane_coeffs, 6 * 9);
+    }
+
+    #[test]
+    fn single_point_coefficient_lanes_are_bitwise_scalar() {
+        let rows = simd_single_comparisons(
+            TestPolynomial::P1,
+            Precision::D2,
+            9,
+            Scale::Reduced,
+            &[2, 4, 8],
+            5,
+        );
+        assert_eq!(rows.len(), 3);
+        for row in rows {
+            assert_eq!(row.batch, 1);
+            assert!(row.identical, "width {}", row.width);
+            assert_eq!(row.reported_width, row.width);
+        }
     }
 
     #[test]

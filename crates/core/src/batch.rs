@@ -144,11 +144,7 @@ pub(crate) fn run_batch<C: Coeff>(
     // resolved; direct callers may still pass `Auto`) and only engage lane
     // groups for the kernels with lane variants — per lane the results are
     // bitwise identical either way.
-    let resolved_kernel = match options.kernel {
-        ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
-        k => k,
-    };
-    let lane_width = match resolved_kernel {
+    let lane_width = match options.kernel.resolved::<C>(per) {
         ConvolutionKernel::ZeroInsertion | ConvolutionKernel::Direct => options.simd.lane_width(),
         _ => 1,
     };

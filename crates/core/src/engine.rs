@@ -539,10 +539,8 @@ impl<C: Coeff> Plan<C> {
         if options.kernel == crate::ConvolutionKernel::Auto {
             options.kernel = crate::crossover::auto_kernel(C::component_limbs(), source.degree());
         }
-        // Same one-shot resolution for the SIMD mode: `Auto` collapses to the
-        // `PSMD_SIMD` override or the detected lane width here, so evaluation
-        // (and the plan's warm workspaces) see a concrete width.
-        options.simd = options.simd.resolved();
+        // The SIMD mode arrives resolved (see `Engine::try_compile_with_options`).
+        debug_assert_ne!(options.simd, crate::SimdMode::Auto);
         Self {
             source,
             kind,
@@ -1228,6 +1226,11 @@ impl Engine {
     ) -> Result<Arc<Plan<C>>, Error> {
         let source = source.into();
         validate_source(&source)?;
+        // Resolve the SIMD mode once, at compile time: `Auto` collapses to
+        // the `PSMD_SIMD` override or the detected lane width, so evaluation
+        // (and the plan's warm workspaces) see a concrete width, and an
+        // unsupported forced width is a configuration error, not a panic.
+        let simd = options.simd.try_resolved().map_err(Error::config)?;
         let key = PlanKey {
             type_id: TypeId::of::<C>(),
             structural_hash: source.structural_hash(),
@@ -1257,7 +1260,7 @@ impl Engine {
         // sources.
         let plan = Arc::new(Plan::build(
             source,
-            options,
+            EvalOptions { simd, ..options },
             Arc::clone(&self.pool),
             self.workspace_pool::<C>(),
         ));
@@ -2203,6 +2206,32 @@ mod tests {
         assert!(err.to_string().contains("variable 7"));
         // A valid source still compiles (and hits the cache on repeat).
         assert!(engine.try_compile(paper_example(d)).is_ok());
+    }
+
+    #[test]
+    fn try_compile_rejects_unsupported_simd_widths() {
+        let d = 2;
+        for w in [0, 3, 16] {
+            let bad = EvalOptions::new().with_simd(crate::SimdMode::ForceWidth(w));
+            // Engine-default options: try_compile and try_compile_any.
+            let engine = Engine::builder().threads(0).options(bad).build();
+            let err = engine.try_compile(paper_example(d)).err().unwrap();
+            assert!(matches!(err, Error::Config(_)), "{w}: {err:?}");
+            assert!(err.to_string().contains("unsupported SIMD lane width"));
+            let any = AnyPolySource::D4(PolySource::Single(paper_example(d)));
+            let err = engine.try_compile_any(any).err().unwrap();
+            assert!(matches!(err, Error::Config(_)), "{w}: {err:?}");
+            // Per-plan overrides: try_compile_with_options and its any twin.
+            let engine = Engine::builder().threads(0).build();
+            let err = engine
+                .try_compile_with_options(paper_example(d), bad)
+                .err()
+                .unwrap();
+            assert!(matches!(err, Error::Config(_)), "{w}: {err:?}");
+            let any = AnyPolySource::D4(PolySource::Single(paper_example(d)));
+            let err = engine.try_compile_any_with_options(any, bad).err().unwrap();
+            assert!(matches!(err, Error::Config(_)), "{w}: {err:?}");
+        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ use parking_lot::Mutex;
 use psmd_multidouble::Coeff;
 use psmd_runtime::{CancelToken, KernelKind, KernelTimings, SharedSlice, Stopwatch, WorkerPool};
 use psmd_series::{
-    add_assign_slices, convolve_fft, convolve_karatsuba, convolve_seq, convolve_zero_insertion,
-    Series,
+    add_assign_slices, convolve_coeff_lanes_dyn, convolve_fft, convolve_karatsuba, convolve_seq,
+    convolve_zero_insertion, Series,
 };
 use std::time::Instant;
 
@@ -57,6 +57,20 @@ pub enum ConvolutionKernel {
     /// [`Engine::compile`](crate::Engine::compile); the resolved choice is
     /// visible in the plan's options.
     Auto,
+}
+
+impl ConvolutionKernel {
+    /// The concrete kernel jobs of `per` coefficients of type `C` run:
+    /// `Auto` looks up the measured crossover table, the others pass
+    /// through.  Plans resolve `Auto` when they compile; resolving again at
+    /// dispatch keeps the runners total for callers that bypass the plan
+    /// (a table lookup, not a measurement).
+    pub(crate) fn resolved<C: Coeff>(self, per: usize) -> Self {
+        match self {
+            ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
+            k => k,
+        }
+    }
 }
 
 /// The value and gradient of a polynomial at a vector of power series,
@@ -183,15 +197,16 @@ pub fn evaluate_naive<C: Coeff>(poly: &Polynomial<C>, inputs: &[Series<C>]) -> E
 /// execution model.  All job staging is borrowed from the per-participant
 /// `scratch` lanes.
 ///
-/// `lane_width >= 2` engages the SIMD lane tier: the instance axis is
-/// decomposed by [`LaneLayout`] into full lane groups (each executing one
-/// job for `lane_width` instances through the vectorized panel kernels) and
-/// a scalar remainder.  Per lane the results are bitwise identical to
+/// `lane_width >= 2` engages the SIMD lane tier on two axes: the instance
+/// axis is decomposed by [`LaneLayout`] into full lane groups (each
+/// executing one job for `lane_width` instances through the vectorized
+/// panel kernels) and a scalar remainder, and every remainder unit — the
+/// whole run for single and system evaluation — runs its zero-insertion
+/// jobs with one output coefficient per lane (see
+/// [`run_convolution_job`]).  Per lane the results are bitwise identical to
 /// `lane_width == 1`, and the recorded timings always count *logical*
 /// per-instance blocks, so lane grouping is invisible to everything but the
-/// wall clock.  The caller is responsible for only requesting widths on
-/// kernels with lane variants (the runners fall back to per-lane scalar
-/// execution otherwise).
+/// wall clock.  Kernels without a lane variant run scalar on either axis.
 ///
 /// When `cancel` is armed and trips mid-run, the remaining blocks (and
 /// layers) are abandoned at the next claim boundary and `false` is returned;
@@ -244,7 +259,7 @@ pub(crate) fn execute_schedule<C: Coeff>(
                         in2: map_slot(instance, job.in2),
                         out: map_slot(instance, job.out),
                     };
-                    run_convolution_job(shared, &mapped, per, kernel, &mut s);
+                    run_convolution_job(shared, &mapped, per, kernel, lanes.width(), &mut s);
                 }
             }
         };
@@ -327,6 +342,8 @@ pub(crate) fn run_single<C: Coeff>(
     let wall = Stopwatch::start();
     let mut timings = KernelTimings::new();
     let per = schedule.layout.coeffs_per_slot();
+    let lane_width = coeff_lane_width::<C>(options, per);
+    timings.simd_width = lane_width;
     let participants = pool.map_or(1, WorkerPool::parallelism);
     let (arena, scratch) = ws.parts(schedule.layout.total_coefficients(), participants);
     schedule.fill_data_array(poly, inputs, arena);
@@ -342,7 +359,7 @@ pub(crate) fn run_single<C: Coeff>(
             scratch,
             &mut timings,
             1,
-            1,
+            lane_width,
             cancel,
             |_, slot| slot,
         )
@@ -369,6 +386,26 @@ pub(crate) fn run_single<C: Coeff>(
     out.timings = timings;
 }
 
+/// The lane width a single-instance run (single or system evaluation)
+/// executes its convolutions at: the options' resolved SIMD width when the
+/// coefficient-lane kernel engages (see [`uses_coeff_lanes`]), 1 otherwise.
+pub(crate) fn coeff_lane_width<C: Coeff>(options: EvalOptions, per: usize) -> usize {
+    let width = options.simd.lane_width();
+    if uses_coeff_lanes(options.kernel.resolved::<C>(per), per, width) {
+        width
+    } else {
+        1
+    }
+}
+
+/// Whether a zero-insertion job of `per` coefficients runs on coefficient
+/// lanes at `lane_width`: only when every lane group but the last is full
+/// (`per >= lane_width`) — at degree 0 a lane vector would carry one live
+/// coefficient and run slower than the scalar kernel.
+pub(crate) fn uses_coeff_lanes(kernel: ConvolutionKernel, per: usize, lane_width: usize) -> bool {
+    kernel == ConvolutionKernel::ZeroInsertion && lane_width >= 2 && per >= lane_width
+}
+
 /// Executes one convolution job on the shared data array.
 ///
 /// Operands are read **directly from the arena** — within one layer no other
@@ -376,21 +413,28 @@ pub(crate) fn run_single<C: Coeff>(
 /// operand that aliases the job's own output (the in-place `b := b * a`
 /// update), which is staged into the per-worker scratch first, the CPU
 /// equivalent of the paper's shared-memory staging.  Nothing is allocated.
+///
+/// With `lane_width >= 2` a zero-insertion job runs the coefficient-lane
+/// kernel ([`psmd_series::convolve_coeff_lanes`]): lane `l` computes output
+/// coefficient `k0 + l`, the paper's one-thread-per-coefficient mapping,
+/// bitwise identical to the scalar kernel.  Other kernels ignore the width.
 pub(crate) fn run_convolution_job<C: Coeff>(
     shared: &SharedSlice<'_, C>,
     job: &ConvJob,
     per: usize,
     kernel: ConvolutionKernel,
+    lane_width: usize,
     scratch: &mut ConvScratch<C>,
 ) {
-    // `Auto` is resolved when the plan compiles; resolving again here keeps
-    // the dispatch total for callers that bypass the plan (it is a table
-    // lookup, not a measurement).
-    let kernel = match kernel {
-        ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
-        k => k,
+    let kernel = kernel.resolved::<C>(per);
+    let coeff_lanes = uses_coeff_lanes(kernel, per, lane_width);
+    // The `f64` buffer is the lane staging on coefficient lanes and the FFT
+    // digit planes under the FFT kernel (empty otherwise).
+    let (buf, f64_scratch) = if coeff_lanes {
+        scratch.ensure_coeff_lanes(per, lane_width)
+    } else {
+        scratch.ensure_for(per, kernel)
     };
-    let (buf, fft_scratch) = scratch.ensure_for(per, kernel);
     let (stage_x, rest) = buf.split_at_mut(per);
     let (stage_y, kernel_scratch) = rest.split_at_mut(per);
     let x_aliases_out = job.in1 == job.out;
@@ -419,10 +463,13 @@ pub(crate) fn run_convolution_job<C: Coeff>(
     // were staged above).
     let out = unsafe { shared.slice_mut(job.out * per, per) };
     match kernel {
+        ConvolutionKernel::ZeroInsertion if coeff_lanes => {
+            convolve_coeff_lanes_dyn(lane_width, x, y, out, f64_scratch)
+        }
         ConvolutionKernel::ZeroInsertion => convolve_zero_insertion(x, y, out, kernel_scratch),
         ConvolutionKernel::Direct => convolve_seq(x, y, out),
         ConvolutionKernel::Karatsuba => convolve_karatsuba(x, y, out, kernel_scratch),
-        ConvolutionKernel::Fft => convolve_fft(x, y, out, fft_scratch),
+        ConvolutionKernel::Fft => convolve_fft(x, y, out, f64_scratch),
         ConvolutionKernel::Auto => unreachable!("Auto was resolved above"),
     }
 }

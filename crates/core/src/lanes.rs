@@ -8,11 +8,16 @@
 //! whole lane group: gather the group's operand slots from the flat arena
 //! into transposed structure-of-arrays panels, run the vectorized panel
 //! kernel of [`psmd_series::lanes`], and scatter the output panel back.
-//! The flat [`DataLayout`](crate::schedule::DataLayout) and the
-//! single/system evaluation paths are untouched: lanes exist only between
-//! the gather and the scatter.
+//! The flat [`DataLayout`](crate::schedule::DataLayout) is untouched:
+//! lanes exist only between the gather and the scatter.
 //!
-//! Per lane the panel kernels are bitwise identical to the scalar kernels
+//! Scalar units — the remainder of a batch, and the one instance of a
+//! single or system evaluation — have no instance axis to pack, so their
+//! zero-insertion jobs take the other lane axis instead: one output
+//! coefficient per lane ([`psmd_series::convolve_coeff_lanes`], dispatched
+//! by `run_convolution_job` when the series fill at least one lane vector).
+//!
+//! Per lane the lane kernels are bitwise identical to the scalar kernels
 //! (see `psmd_multidouble::lanes`), and the gather/scatter transposes are
 //! exact-bit `write_limbs`/`from_limbs` round trips — so a lane group
 //! produces exactly the arena bytes the scalar path produces for the same
@@ -122,10 +127,7 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
     first_instance: usize,
     map_slot: &(impl Fn(usize, usize) -> usize + Sync),
 ) {
-    let kernel = match kernel {
-        ConvolutionKernel::Auto => crate::crossover::auto_kernel(C::component_limbs(), per - 1),
-        k => k,
-    };
+    let kernel = kernel.resolved::<C>(per);
     let zero_insert = match kernel {
         ConvolutionKernel::ZeroInsertion => true,
         ConvolutionKernel::Direct => false,
@@ -137,7 +139,7 @@ pub(crate) fn run_convolution_job_lanes<C: Coeff>(
                     in2: map_slot(instance, job.in2),
                     out: map_slot(instance, job.out),
                 };
-                run_convolution_job(shared, &mapped, per, kernel, scratch);
+                run_convolution_job(shared, &mapped, per, kernel, width, scratch);
             }
             return;
         }

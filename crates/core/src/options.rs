@@ -1,20 +1,24 @@
 //! Shared evaluation options.
 //!
 //! The engine ([`crate::Engine`]) and every plan it compiles expose the same
-//! knobs: which convolution kernel to run and whether batched evaluation
-//! packs instances into SIMD lane groups.  This module holds the one struct they share, plus the
-//! [`SimdMode`] selector and its `PSMD_SIMD` environment contract.
+//! knobs: which convolution kernel to run and at which SIMD lane width.
+//! This module holds the one struct they share, plus the [`SimdMode`]
+//! selector and its `PSMD_SIMD` environment contract.
 
 use crate::evaluate::ConvolutionKernel;
 use psmd_multidouble::lanes;
 
-/// How batched evaluation uses the machine's vector units.
+/// How evaluation uses the machine's vector units.
 ///
-/// The SIMD tier packs `W` independent batch instances into
-/// structure-of-arrays lane panels and runs the convolution recurrence over
-/// all of them per instruction (see `psmd_multidouble::lanes`).  Per lane
-/// the results are bitwise identical to the scalar path, so this knob
-/// changes only speed — which is why `Auto` is the default.
+/// The SIMD tier has two lane axes at one width `W`.  Batched evaluation
+/// packs `W` independent batch instances into structure-of-arrays lane
+/// panels and runs the convolution recurrence over all of them per
+/// instruction (see `psmd_multidouble::lanes`).  Single and system
+/// evaluation — and the scalar remainder of a batch — run each
+/// zero-insertion convolution with one output coefficient per lane, once
+/// the series have at least `W` coefficients.  Per lane the results are
+/// bitwise identical to the scalar path, so this knob changes only speed —
+/// which is why `Auto` is the default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimdMode {
     /// Pick the widest lane width the running machine supports (AVX-512 →
@@ -23,8 +27,8 @@ pub enum SimdMode {
     /// compiled.
     #[default]
     Auto,
-    /// Disable the lane tier: batched evaluation runs the scalar kernels
-    /// only.
+    /// Disable the lane tier on both axes: every evaluation runs the
+    /// scalar kernels only.
     Scalar,
     /// Force a specific lane width (2, 4 or 8).  Widths beyond what the
     /// hardware vectorizes still run — as portable scalar-lane code with
@@ -76,12 +80,21 @@ impl SimdMode {
     ///
     /// # Panics
     ///
-    /// Panics on a forced width outside [`SimdMode::SUPPORTED_WIDTHS`]
-    /// (width 1 is accepted as an alias for [`SimdMode::Scalar`]) and on an
-    /// unrecognized `PSMD_SIMD` value.
+    /// Panics where [`SimdMode::try_resolved`] returns an error.
     pub fn resolved(self) -> SimdMode {
+        match self.try_resolved() {
+            Ok(mode) => mode,
+            Err(message) => panic!("{message}"),
+        }
+    }
+
+    /// The fallible form of [`SimdMode::resolved`]: a forced width outside
+    /// [`SimdMode::SUPPORTED_WIDTHS`] (width 1 is accepted as an alias for
+    /// [`SimdMode::Scalar`]) or an unrecognized `PSMD_SIMD` value becomes
+    /// an `Err` describing the problem.
+    pub fn try_resolved(self) -> Result<SimdMode, String> {
         let mode = match self {
-            SimdMode::Auto => match SimdMode::from_env() {
+            SimdMode::Auto => match SimdMode::try_from_env()? {
                 Some(SimdMode::Auto) | None => match lanes::detected_lane_width() {
                     w if w >= 2 => SimdMode::ForceWidth(w),
                     _ => SimdMode::Scalar,
@@ -91,17 +104,17 @@ impl SimdMode {
             explicit => explicit,
         };
         match mode {
-            SimdMode::ForceWidth(1) => SimdMode::Scalar,
-            SimdMode::ForceWidth(w) if !Self::SUPPORTED_WIDTHS.contains(&w) => {
-                panic!("unsupported SIMD lane width {w}: expected 2, 4 or 8")
-            }
-            resolved => resolved,
+            SimdMode::ForceWidth(1) => Ok(SimdMode::Scalar),
+            SimdMode::ForceWidth(w) if !Self::SUPPORTED_WIDTHS.contains(&w) => Err(format!(
+                "unsupported SIMD lane width {w}: expected 2, 4 or 8"
+            )),
+            resolved => Ok(resolved),
         }
     }
 
-    /// The lane width this mode runs batched convolutions at (1 for the
-    /// scalar path).  Meaningful on resolved modes; `Auto` reports the
-    /// width it would resolve to on this machine.
+    /// The lane width this mode runs convolutions at (1 for the scalar
+    /// path).  Meaningful on resolved modes; `Auto` reports the width it
+    /// would resolve to on this machine.
     pub fn lane_width(self) -> usize {
         match self.resolved() {
             SimdMode::ForceWidth(w) => w,
@@ -119,7 +132,8 @@ impl SimdMode {
 pub struct EvalOptions {
     /// Which convolution kernel the jobs run (ablation knob).
     pub kernel: ConvolutionKernel,
-    /// Whether batched evaluation packs instances into SIMD lane groups.
+    /// The SIMD lane width: instance lanes for batches, coefficient lanes
+    /// for single and system evaluation.
     pub simd: SimdMode,
 }
 
@@ -136,7 +150,7 @@ impl EvalOptions {
         self
     }
 
-    /// Selects the SIMD lane mode for batched evaluation.
+    /// Selects the SIMD lane mode.
     pub fn with_simd(mut self, simd: SimdMode) -> Self {
         self.simd = simd;
         self

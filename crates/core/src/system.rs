@@ -55,7 +55,7 @@
 //! assert_eq!(eval.jacobian[1][1].coeff(0).to_f64(), 1.0);  // d f2/dx1 = 1
 //! ```
 
-use crate::evaluate::{evaluate_naive, execute_schedule, Evaluation};
+use crate::evaluate::{coeff_lane_width, evaluate_naive, execute_schedule, Evaluation};
 use crate::options::EvalOptions;
 use crate::polynomial::Polynomial;
 use crate::schedule::{
@@ -618,6 +618,8 @@ pub(crate) fn run_system_batch<C: Coeff>(
         out.timings = timings;
         return;
     }
+    // System batches run scalar on both lane axes.
+    timings.simd_width = 1;
     let layout = &schedule.layout;
     let per = layout.coeffs_per_slot();
     let stride = layout.total_coefficients();
@@ -706,6 +708,8 @@ pub(crate) fn run_system<C: Coeff>(
     let wall = Stopwatch::start();
     let mut timings = KernelTimings::new();
     let per = schedule.layout.coeffs_per_slot();
+    let lane_width = coeff_lane_width::<C>(options, per);
+    timings.simd_width = lane_width;
     let participants = pool.map_or(1, WorkerPool::parallelism);
     let (arena, scratch) = ws.parts(schedule.layout.total_coefficients(), participants);
     schedule.fill_data_array(polys, inputs, arena);
@@ -724,7 +728,7 @@ pub(crate) fn run_system<C: Coeff>(
             scratch,
             &mut timings,
             1,
-            1,
+            lane_width,
             cancel,
             |_, slot| slot,
         )

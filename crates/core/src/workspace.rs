@@ -69,11 +69,15 @@ pub fn conv_scratch_coeffs_for(kernel: ConvolutionKernel, per: usize) -> usize {
     }
 }
 
-/// `f64` slots of one convolution-scratch lane's SIMD panel buffer at `per`
-/// coefficients per slot and lane width `width`: three transposed
-/// structure-of-arrays panels (two operands, one output).
+/// `f64` slots of one convolution-scratch lane's SIMD buffer at `per`
+/// coefficients per slot and lane width `width`.  The buffer serves both
+/// lane axes, so it is the larger of their needs: three transposed
+/// structure-of-arrays panels (two operands, one output) for an instance
+/// lane group, and the broadcast/plane staging of
+/// [`psmd_series::coeff_lanes_f64s`] for a coefficient-lane job.
 pub fn lane_scratch_f64s<C: Coeff>(per: usize, width: usize) -> usize {
-    3 * psmd_series::lanes::panel_f64s::<C>(per, width)
+    let panels = 3 * psmd_series::panel_f64s::<C>(per, width);
+    panels.max(psmd_series::coeff_lanes_f64s::<C>(per, width))
 }
 
 impl<C: Coeff> ConvScratch<C> {
@@ -117,6 +121,24 @@ impl<C: Coeff> ConvScratch<C> {
             self.lanes.resize(f64s, 0.0);
         }
         &mut self.lanes[..f64s]
+    }
+
+    /// The buffers of a coefficient-lane zero-insertion job at `per`
+    /// coefficients per slot and lane width `width`: the two operand staging
+    /// slots and the SIMD buffer holding the kernel's lane staging.
+    pub(crate) fn ensure_coeff_lanes(
+        &mut self,
+        per: usize,
+        width: usize,
+    ) -> (&mut [C], &mut [f64]) {
+        if self.buf.len() < 2 * per {
+            self.buf.resize(2 * per, C::zero());
+        }
+        let f64s = psmd_series::coeff_lanes_f64s::<C>(per, width);
+        if self.lanes.len() < f64s {
+            self.lanes.resize(f64s, 0.0);
+        }
+        (&mut self.buf[..2 * per], &mut self.lanes[..f64s])
     }
 }
 
@@ -177,10 +199,11 @@ impl<C: Coeff> Workspace<C> {
         }
     }
 
-    /// Pre-sizes every convolution-scratch lane's SIMD panel buffer for
-    /// batched evaluation at `per` coefficients per slot and lane width
-    /// `width`, so the first lane-group launch is already allocation-free.
-    /// A no-op for widths below 2 (the scalar path uses no panels).
+    /// Pre-sizes every convolution-scratch lane's SIMD buffer for lane
+    /// width `width` at `per` coefficients per slot — instance lane groups
+    /// and coefficient-lane jobs alike (see [`lane_scratch_f64s`]) — so the
+    /// first lane launch is already allocation-free.  A no-op for widths
+    /// below 2 (the scalar path uses no lane staging).
     pub fn warm_lanes(&mut self, per: usize, width: usize) {
         if width < 2 {
             return;
@@ -371,6 +394,25 @@ mod tests {
         s.ensure_for(4, zi);
         s.ensure_for(9, zi);
         assert_eq!(s.buf.capacity(), cap);
+    }
+
+    #[test]
+    fn lane_scratch_covers_both_lane_axes() {
+        // Sized as the max of the two needs instead of trusting the panels
+        // to be the larger one (at per = 1 they are not).
+        for (per, width) in [(1, 8), (2, 8), (8, 8), (9, 4), (64, 8), (153, 2)] {
+            let need = lane_scratch_f64s::<Qd>(per, width);
+            assert!(need >= 3 * psmd_series::panel_f64s::<Qd>(per, width));
+            assert!(need >= psmd_series::coeff_lanes_f64s::<Qd>(per, width));
+        }
+        let mut ws: Workspace<Qd> = Workspace::new(1);
+        ws.warm_for(0, 64, ConvolutionKernel::ZeroInsertion);
+        ws.warm_lanes(64, 8);
+        let mut s = ws.scratch[0].lock();
+        let (buf_cap, lane_cap) = (s.buf.capacity(), s.lanes.capacity());
+        s.ensure_coeff_lanes(64, 8);
+        s.ensure_lanes(3 * psmd_series::panel_f64s::<Qd>(64, 8));
+        assert_eq!((s.buf.capacity(), s.lanes.capacity()), (buf_cap, lane_cap));
     }
 
     #[test]

@@ -252,7 +252,16 @@ pub trait LaneVec<C: Coeff, const W: usize>: Copy + Send + Sync {
     /// All lanes exactly zero (the bits of `C::zero()`).
     fn zero() -> Self;
     /// Loads the lane vector stored at `panel[base..]`.
-    fn load_from(panel: &[f64], base: usize) -> Self;
+    #[inline(always)]
+    fn load_from(panel: &[f64], base: usize) -> Self {
+        Self::load_strided(panel, base, W)
+    }
+    /// Loads `W` consecutive values from limb-major planes: double `d` of
+    /// lane `l` is `buf[base + d * plane + l]`.  With `plane == W` this is
+    /// [`LaneVec::load_from`]; with the plane length of a staged series it
+    /// loads the window of `W` consecutive coefficients starting at `base`
+    /// (the coefficient-lane convolution of `psmd_series::lanes`).
+    fn load_strided(buf: &[f64], base: usize, plane: usize) -> Self;
     /// Stores the lane vector at `panel[base..]`.
     fn store_to(&self, panel: &mut [f64], base: usize);
     /// Writes one scalar value into lane `lane` of the vector at
@@ -394,10 +403,10 @@ impl<const N: usize, const W: usize> LaneVec<Md<N>, W> for MdLanes<N, W> {
     }
 
     #[inline(always)]
-    fn load_from(panel: &[f64], base: usize) -> Self {
+    fn load_strided(buf: &[f64], base: usize, plane: usize) -> Self {
         let mut s = Self::zero();
         for d in 0..N {
-            s.limbs[d].copy_from_slice(&panel[base + d * W..base + (d + 1) * W]);
+            s.limbs[d].copy_from_slice(&buf[base + d * plane..base + d * plane + W]);
         }
         s
     }
@@ -459,9 +468,9 @@ impl<const W: usize> LaneVec<f64, W> for F64Lanes<W> {
     }
 
     #[inline(always)]
-    fn load_from(panel: &[f64], base: usize) -> Self {
+    fn load_strided(buf: &[f64], base: usize, _plane: usize) -> Self {
         let mut s = [0.0; W];
-        s.copy_from_slice(&panel[base..base + W]);
+        s.copy_from_slice(&buf[base..base + W]);
         Self(s)
     }
 
@@ -525,11 +534,13 @@ where
     }
 
     #[inline(always)]
-    fn load_from(panel: &[f64], base: usize) -> Self {
-        let half = T::doubles_per_value() * W;
+    fn load_strided(buf: &[f64], base: usize, plane: usize) -> Self {
+        // The imaginary doubles continue the double index after the real
+        // ones, so they start `T::doubles_per_value()` planes further on.
+        let half = T::doubles_per_value() * plane;
         Self {
-            re: R::load_from(panel, base),
-            im: R::load_from(panel, base + half),
+            re: R::load_strided(buf, base, plane),
+            im: R::load_strided(buf, base + half, plane),
         }
     }
 
@@ -606,10 +617,16 @@ impl<C: Coeff, const W: usize> LaneVec<C, W> for ScalarLanes<C, W> {
     }
 
     #[inline]
-    fn load_from(panel: &[f64], base: usize) -> Self {
+    fn load_strided(buf: &[f64], base: usize, plane: usize) -> Self {
+        let d = C::doubles_per_value();
+        debug_assert!(d <= 2 * MAX_LIMBS);
         let mut s = Self::zero();
+        let mut limbs = [0.0; 2 * MAX_LIMBS];
         for l in 0..W {
-            s.0[l] = Self::read_lane(panel, base, l);
+            for (j, limb) in limbs[..d].iter_mut().enumerate() {
+                *limb = buf[base + j * plane + l];
+            }
+            s.0[l] = C::from_limbs(&limbs[..d]);
         }
         s
     }
@@ -889,6 +906,53 @@ mod tests {
             assert_eq!(lanes.extract(l), *v);
             assert_eq!(MdLanes::<10, W>::read_lane(&panel, d * W, l), *v);
         }
+    }
+
+    #[test]
+    fn strided_loads_read_consecutive_values_from_limb_planes() {
+        // A staged series of `len` values in limb-major planes: the window
+        // at `start` must load values `start..start + W`, bit for bit.
+        const W: usize = 4;
+        fn check<C: Coeff>(vals: &[C]) {
+            let d = C::doubles_per_value();
+            let len = vals.len();
+            let mut planes = vec![0.0; d * len];
+            let mut limbs = vec![0.0; d];
+            for (k, v) in vals.iter().enumerate() {
+                v.write_limbs(&mut limbs);
+                for (j, limb) in limbs.iter().enumerate() {
+                    planes[j * len + k] = *limb;
+                }
+            }
+            let mut out = vec![0.0; d * W];
+            for start in 0..=len - W {
+                let window = C::Lanes::<W>::load_strided(&planes, start, len);
+                window.store_to(&mut out, 0);
+                for l in 0..W {
+                    let got = C::Lanes::<W>::read_lane(&out, 0, l);
+                    assert_eq!(got, vals[start + l], "start {start} lane {l}");
+                }
+            }
+        }
+        let mut next = mill(5);
+        let qd: Vec<Qd> = (0..9).map(|_| random_md::<4>(&mut next)).collect();
+        check(&qd);
+        let f: Vec<f64> = (0..7).map(|_| next()).collect();
+        check(&f);
+        let cx: Vec<Complex<Dd>> = (0..6)
+            .map(|_| Complex::new(random_md::<2>(&mut next), random_md::<2>(&mut next)))
+            .collect();
+        check(&cx);
+        // The per-lane fallback reads the same layout.
+        let len = qd.len();
+        let mut planes = vec![0.0; 4 * len];
+        for (k, v) in qd.iter().enumerate() {
+            for (j, limb) in v.limbs().iter().enumerate() {
+                planes[j * len + k] = *limb;
+            }
+        }
+        let window = ScalarLanes::<Qd, W>::load_strided(&planes, 2, len);
+        assert_eq!(window.0[..], qd[2..2 + W]);
     }
 
     #[test]

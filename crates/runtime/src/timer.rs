@@ -54,11 +54,13 @@ pub struct KernelTimings {
     /// evaluations on the same pool may attribute each other's rendezvous
     /// to this field.
     pub pool_rendezvous: usize,
-    /// SIMD lane width the batched convolution tier ran at: 0 when the run
-    /// had no batched convolution stage at all (single/system evaluation),
-    /// 1 when batched evaluation ran scalar, otherwise the lane width (2, 4
-    /// or 8).  Lane-group execution changes physical launches only; the
-    /// block counts above always count logical (per-instance) jobs.
+    /// SIMD lane width the convolution stage ran at: 1 when it ran scalar,
+    /// otherwise the lane width (2, 4 or 8) — of the instance lane groups
+    /// in a batched evaluation, of the coefficient lanes (one output
+    /// coefficient per lane) in a single or system evaluation.  0 when no
+    /// evaluation ran (an empty batch, or a record never filled in).  Lane
+    /// execution changes physical launches only; the block counts above
+    /// always count logical (per-instance) jobs.
     pub simd_width: usize,
     /// Wall clock time of the whole evaluation.
     pub wall_clock: Duration,

@@ -1,6 +1,16 @@
 //! SIMD-lane convolution kernels over structure-of-arrays coefficient
 //! panels.
 //!
+//! Two lane axes share the kernels below:
+//!
+//! * **instance lanes** ([`convolve_panels`]) — lane `l` carries batch
+//!   instance `l`, and one pass convolves `W` independent series pairs;
+//! * **coefficient lanes** ([`convolve_coeff_lanes`]) — lane `l` carries
+//!   output coefficient `k0 + l` of *one* series pair, the paper's "thread
+//!   `k` computes `z_k`" mapping: zero insertion gives every output the same
+//!   `d + 1` multiply-adds, so `W` outputs advance in lock step like the
+//!   threads of a warp.
+//!
 //! A *panel* packs `W` independent series (one per batch instance) into one
 //! flat `f64` buffer in lane-major order: coefficient `k` of lane `l`
 //! occupies doubles `k * D * W + d * W + l` for `d < D =
@@ -164,6 +174,143 @@ pub fn convolve_panels_dyn<C: Coeff>(
     }
 }
 
+/// Number of `f64` slots [`convolve_coeff_lanes`] stages for series of `n`
+/// coefficients at width `width`: the broadcast `x` panel (`n` values of
+/// `width` equal lanes), the limb-major `y` planes zero-padded to
+/// `2 n + width` values, and one output lane vector.
+pub fn coeff_lanes_f64s<C: Coeff>(n: usize, width: usize) -> usize {
+    let d = C::doubles_per_value();
+    n * d * width + d * (2 * n + width) + d * width
+}
+
+/// The coefficient-lane body: the zero-insertion convolution of one series
+/// pair with output coefficients `k0..k0 + W` in the `W` lanes.
+///
+/// Stage 1 broadcasts every `x_i` across a lane vector and writes `y` into
+/// limb-major planes at offset `d = n - 1` behind `d` zero values — the
+/// paper's shared-memory `Y` with its inserted zeros, padded by `W` more so
+/// the window of the last (partly dead) lane group stays in bounds.  Stage
+/// 2 runs, per group, `acc.mul_add_assign(X_i, Y[d + k0 - i ..][..W])` for
+/// `i in 0..n`: lane `l` performs exactly the scalar sequence of
+/// [`crate::convolution::convolve_zero_insertion`] for `z[k0 + l]`, so the
+/// live lanes are bitwise equal to the scalar kernel.  Dead lanes
+/// (`k0 + l >= n`) read padding and are never written back.
+#[inline(always)]
+fn coeff_lanes_body<C: Coeff, const W: usize>(x: &[C], y: &[C], z: &mut [C], scratch: &mut [f64]) {
+    let n = z.len();
+    debug_assert_eq!(x.len(), n);
+    debug_assert_eq!(y.len(), n);
+    debug_assert!(scratch.len() >= coeff_lanes_f64s::<C>(n, W));
+    let dpv = C::doubles_per_value();
+    let stride = dpv * W;
+    let plane = 2 * n + W;
+    let d = n - 1;
+    let (xp, rest) = scratch.split_at_mut(n * stride);
+    let (yp, zp) = rest.split_at_mut(dpv * plane);
+    let mut limbs = [0.0; 2 * psmd_multidouble::MAX_LIMBS];
+    debug_assert!(dpv <= limbs.len());
+    for (i, v) in x.iter().enumerate() {
+        v.write_limbs(&mut limbs[..dpv]);
+        for (j, limb) in limbs[..dpv].iter().enumerate() {
+            xp[i * stride + j * W..i * stride + (j + 1) * W].fill(*limb);
+        }
+    }
+    yp.fill(0.0);
+    for (k, v) in y.iter().enumerate() {
+        v.write_limbs(&mut limbs[..dpv]);
+        for (j, limb) in limbs[..dpv].iter().enumerate() {
+            yp[j * plane + d + k] = *limb;
+        }
+    }
+    for k0 in (0..n).step_by(W) {
+        let mut acc = <C::Lanes<W> as LaneVec<C, W>>::zero();
+        for i in 0..n {
+            let xi = C::Lanes::<W>::load_from(xp, i * stride);
+            let yi = C::Lanes::<W>::load_strided(yp, d + k0 - i, plane);
+            acc.mul_add_assign(&xi, &yi);
+        }
+        acc.store_to(zp, 0);
+        for (l, out) in z[k0..n.min(k0 + W)].iter_mut().enumerate() {
+            *out = C::Lanes::<W>::read_lane(zp, 0, l);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn coeff_lanes_avx2<C: Coeff, const W: usize>(
+    x: &[C],
+    y: &[C],
+    z: &mut [C],
+    scratch: &mut [f64],
+) {
+    coeff_lanes_body::<C, W>(x, y, z, scratch);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+unsafe fn coeff_lanes_avx512<C: Coeff, const W: usize>(
+    x: &[C],
+    y: &[C],
+    z: &mut [C],
+    scratch: &mut [f64],
+) {
+    coeff_lanes_body::<C, W>(x, y, z, scratch);
+}
+
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn coeff_lanes_neon<C: Coeff, const W: usize>(
+    x: &[C],
+    y: &[C],
+    z: &mut [C],
+    scratch: &mut [f64],
+) {
+    coeff_lanes_body::<C, W>(x, y, z, scratch);
+}
+
+/// Zero-insertion convolution of one series pair with `W` output
+/// coefficients per lane vector, dispatching to the widest instruction set
+/// the machine supports.  Bitwise identical to
+/// [`crate::convolution::convolve_zero_insertion`] at every width and
+/// length; `scratch` must hold [`coeff_lanes_f64s`]`::<C>(n, W)` doubles.
+pub fn convolve_coeff_lanes<C: Coeff, const W: usize>(
+    x: &[C],
+    y: &[C],
+    z: &mut [C],
+    scratch: &mut [f64],
+) {
+    match detect_isa() {
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx512 => unsafe { coeff_lanes_avx512::<C, W>(x, y, z, scratch) },
+        #[cfg(target_arch = "x86_64")]
+        SimdIsa::Avx2 => unsafe { coeff_lanes_avx2::<C, W>(x, y, z, scratch) },
+        #[cfg(target_arch = "aarch64")]
+        SimdIsa::Neon => unsafe { coeff_lanes_neon::<C, W>(x, y, z, scratch) },
+        _ => coeff_lanes_body::<C, W>(x, y, z, scratch),
+    }
+}
+
+/// Width-dynamic front end over [`convolve_coeff_lanes`] (widths 2, 4, 8).
+///
+/// # Panics
+///
+/// Panics on an unsupported width, like [`convolve_panels_dyn`].
+pub fn convolve_coeff_lanes_dyn<C: Coeff>(
+    width: usize,
+    x: &[C],
+    y: &[C],
+    z: &mut [C],
+    scratch: &mut [f64],
+) {
+    match width {
+        2 => convolve_coeff_lanes::<C, 2>(x, y, z, scratch),
+        4 => convolve_coeff_lanes::<C, 4>(x, y, z, scratch),
+        8 => convolve_coeff_lanes::<C, 8>(x, y, z, scratch),
+        w => panic!("unsupported SIMD lane width {w}: expected 2, 4 or 8"),
+    }
+}
+
 /// Transposes one instance's coefficient slice into lane `lane` of a panel.
 ///
 /// Every [`LaneVec`] lays double `j` of lane `l` at `base + j * width + l`
@@ -204,7 +351,9 @@ pub fn scatter_from_panel<C: Coeff>(panel: &[f64], dst: &mut [C], lane: usize, w
 mod tests {
     use super::*;
     use crate::convolution::{convolve_seq, convolve_zero_insertion, zero_insertion_scratch_len};
-    use psmd_multidouble::{Complex, Dd, Deca, Md, Od, Pd, Qd, Td};
+    use psmd_multidouble::{Complex, Dd, Deca, Md, Od, Pd, Qd, RandomCoeff, Td};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn mill(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -283,6 +432,65 @@ mod tests {
                 assert_eq!(got, want);
             }
         }
+    }
+
+    type CoeffLaneFn<C> = fn(&[C], &[C], &mut [C], &mut [f64]);
+
+    /// Checks the coefficient-lane kernel bitwise against the scalar
+    /// zero-insertion kernel at width `W`, through the portable body, the
+    /// ISA dispatcher and the width-dynamic front end.
+    fn check_coeff_lanes<C: Coeff + RandomCoeff, const W: usize>() {
+        let mut rng = StdRng::seed_from_u64(W as u64);
+        for n in [1, 2, W - 1, W, W + 1, 2 * W + 3, 64, 153] {
+            // Full-precision values: every limb of every coefficient is
+            // live, so a reordered accumulation cannot hide.
+            let x: Vec<C> = (0..n).map(|_| C::random_uniform(&mut rng)).collect();
+            let y: Vec<C> = (0..n).map(|_| C::random_uniform(&mut rng)).collect();
+            let mut want = vec![C::zero(); n];
+            let mut scalar_scratch = vec![C::zero(); zero_insertion_scratch_len(n)];
+            convolve_zero_insertion(&x, &y, &mut want, &mut scalar_scratch);
+            // Stale scratch contents must not leak into the result.
+            let mut scratch = vec![f64::NAN; coeff_lanes_f64s::<C>(n, W)];
+            let runs: [(&str, CoeffLaneFn<C>); 3] = [
+                ("portable", coeff_lanes_body::<C, W>),
+                ("dispatch", convolve_coeff_lanes::<C, W>),
+                ("dyn", |x, y, z, s| {
+                    convolve_coeff_lanes_dyn::<C>(W, x, y, z, s)
+                }),
+            ];
+            for (label, run) in runs {
+                let mut got = vec![C::zero(); n];
+                run(&x, &y, &mut got, &mut scratch);
+                assert_eq!(got, want, "{label} W={W} n={n}");
+            }
+        }
+    }
+
+    fn check_coeff_lanes_all_widths<C: Coeff + RandomCoeff>() {
+        check_coeff_lanes::<C, 2>();
+        check_coeff_lanes::<C, 4>();
+        check_coeff_lanes::<C, 8>();
+    }
+
+    #[test]
+    fn coeff_lane_kernel_matches_zero_insertion_bitwise() {
+        check_coeff_lanes_all_widths::<f64>();
+        check_coeff_lanes_all_widths::<Md<1>>();
+        check_coeff_lanes_all_widths::<Dd>();
+        check_coeff_lanes_all_widths::<Td>();
+        check_coeff_lanes_all_widths::<Qd>();
+        check_coeff_lanes_all_widths::<Pd>();
+        check_coeff_lanes_all_widths::<Od>();
+        check_coeff_lanes_all_widths::<Deca>();
+        check_coeff_lanes_all_widths::<Complex<Dd>>();
+        check_coeff_lanes_all_widths::<Complex<Qd>>();
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported SIMD lane width")]
+    fn coeff_lane_dispatch_rejects_bad_width() {
+        let (x, y, mut z) = ([0.0], [0.0], [0.0]);
+        convolve_coeff_lanes_dyn::<f64>(3, &x, &y, &mut z, &mut [0.0; 64]);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub use karatsuba::{
     karatsuba_ulp_budget, KARATSUBA_THRESHOLD,
 };
 pub use lanes::{
-    convolve_panels, convolve_panels_dyn, gather_into_panel, panel_f64s, scatter_from_panel,
+    coeff_lanes_f64s, convolve_coeff_lanes, convolve_coeff_lanes_dyn, convolve_panels,
+    convolve_panels_dyn, gather_into_panel, panel_f64s, scatter_from_panel,
 };
 pub use series::Series;

@@ -1,8 +1,10 @@
 //! SIMD lane-tier identity: batched evaluation through lane groups
 //! ([`SimdMode::ForceWidth`]) must be **bitwise** identical, per instance,
 //! to the scalar batch path ([`SimdMode::Scalar`]) — across every
-//! multi-double precision, real and complex coefficients, and batch sizes that exercise full lane groups, the scalar
-//! remainder, and both together.  This is the invariant that makes the SIMD
+//! multi-double precision, real and complex coefficients, and batch sizes
+//! that exercise full lane groups, the scalar remainder, and both together.
+//! Single and system evaluations, which run one output coefficient per
+//! lane, must match the scalar run just as exactly.  This is the invariant that makes the SIMD
 //! tier a pure throughput optimization with no numerical footprint: the
 //! lane kernels replicate the scalar error-free transformations elementwise
 //! and never reassociate (see `psmd_multidouble::lanes`).
@@ -189,14 +191,61 @@ fn non_lane_kernels_fall_back_to_scalar() {
     }
 }
 
-/// A single (non-batched) evaluation never engages the lane tier: its
-/// timings report no batched convolution stage regardless of the mode.
+/// Evaluates one single-point and one system source under `simd` and under
+/// `Scalar`, asserting bitwise identity and that the lane run reports the
+/// coefficient-lane width that ran: the resolved width when the series
+/// fill at least one lane vector (`degree + 1 >= W`), scalar otherwise.
+fn check_single_and_system_vs_scalar<C: Coeff + RandomCoeff>(seed: u64, degree: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let p: Polynomial<C> = random_polynomial(4, 8, 4, degree, &mut rng);
+    let system: Vec<Polynomial<C>> = (0..3)
+        .map(|_| random_polynomial(4, 6, 3, degree, &mut rng))
+        .collect();
+    let z = random_inputs::<C, _>(4, degree, &mut rng);
+    let scalar_engine = engine_with(SimdMode::Scalar);
+    let scalar_single = scalar_engine.compile(p.clone()).request(&z).run();
+    let scalar_system = scalar_engine.compile(system.clone()).request(&z).run();
+    assert_eq!(scalar_single.timings().simd_width, 1);
+    assert_eq!(scalar_system.timings().simd_width, 1);
+    for simd in [
+        SimdMode::Auto,
+        SimdMode::ForceWidth(2),
+        SimdMode::ForceWidth(4),
+        SimdMode::ForceWidth(8),
+    ] {
+        let width = simd.lane_width();
+        let ran = if degree + 1 >= width { width } else { 1 };
+        let engine = engine_with(simd);
+        let single = engine.compile(p.clone()).request(&z).run();
+        let sys = engine.compile(system.clone()).request(&z).run();
+        assert!(
+            single.bitwise_eq(&scalar_single),
+            "single differs ({simd:?}, degree {degree}, seed {seed})"
+        );
+        assert!(
+            sys.bitwise_eq(&scalar_system),
+            "system differs ({simd:?}, degree {degree}, seed {seed})"
+        );
+        assert_eq!(
+            single.timings().simd_width,
+            ran,
+            "single {simd:?} d={degree}"
+        );
+        assert_eq!(sys.timings().simd_width, ran, "system {simd:?} d={degree}");
+    }
+}
+
+/// Single and system evaluations run their zero-insertion convolutions on
+/// coefficient lanes (one output coefficient per lane) at every width, and
+/// stay bitwise identical to the scalar run — below one full lane vector
+/// (degree 0, 2) they run scalar and say so.
 #[test]
-fn single_evaluations_stay_scalar() {
-    let mut rng = StdRng::seed_from_u64(1_700);
-    let p: Polynomial<Dd> = random_polynomial(4, 8, 4, 4, &mut rng);
-    let z = random_inputs::<Dd, _>(4, 4, &mut rng);
-    let engine = engine_with(SimdMode::ForceWidth(8));
-    let single = engine.compile(p).request(&z).run().into_single();
-    assert_eq!(single.timings.simd_width, 0);
+fn single_and_system_coefficient_lanes_match_scalar_bitwise() {
+    for degree in [0, 2, 7, 8, 19] {
+        check_single_and_system_vs_scalar::<Dd>(1_700 + degree as u64, degree);
+        check_single_and_system_vs_scalar::<Qd>(1_800 + degree as u64, degree);
+        check_single_and_system_vs_scalar::<Complex<Dd>>(1_900 + degree as u64, degree);
+    }
+    check_single_and_system_vs_scalar::<Md<1>>(2_001, 9);
+    check_single_and_system_vs_scalar::<Deca>(2_002, 9);
 }

@@ -1,7 +1,8 @@
 //! Seeded stress loop for the SIMD lane tier.
 //!
 //! Lane-group batched evaluation shares pooled workspaces with scalar
-//! batches, single evaluations and every kernel variant, and its gather /
+//! batches, coefficient-lane single and system evaluations and every
+//! kernel variant, and its gather /
 //! convolve / scatter path re-partitions each batch into groups plus a
 //! scalar remainder — exactly the kind of layout churn where a stale panel
 //! size, a missed re-warm or an off-by-one in the lane partition only
@@ -37,7 +38,8 @@ fn engine_with(simd: SimdMode) -> Engine {
 
 /// One iteration at one coefficient type: a random plan and batch evaluated
 /// under a forced lane width and under the scalar mode, on engines that
-/// live across the whole loop (workspace recycling included).
+/// live across the whole loop (workspace recycling included) — then a
+/// single-point and a system evaluation on the coefficient-lane axis.
 fn stress_iteration<C: Coeff + RandomCoeff>(
     scalar_engine: &Engine,
     lane_engine: &Engine,
@@ -80,6 +82,48 @@ fn stress_iteration<C: Coeff + RandomCoeff>(
             "iteration {iter}: width {width}, batch {batch_size}, instance {i} gradient"
         );
     }
+    stress_single_and_system::<C>(scalar_engine, lane_engine, iter, width, rng);
+}
+
+/// The coefficient-lane rows: one single-point and one system evaluation at
+/// a degree drawn across the lane-group boundaries (`0..=2W+3`: scalar
+/// below one full lane vector, full groups, and a partly dead last group),
+/// bitwise against the scalar mode.
+fn stress_single_and_system<C: Coeff + RandomCoeff>(
+    scalar_engine: &Engine,
+    lane_engine: &Engine,
+    iter: usize,
+    width: usize,
+    rng: &mut StdRng,
+) {
+    let n = rng.gen_range(2..6);
+    let degree = rng.gen_range(0..=2 * width + 3);
+    let p: Polynomial<C> = random_polynomial(n, rng.gen_range(1..9), n.min(5), degree, rng);
+    let system: Vec<Polynomial<C>> = (0..rng.gen_range(1..4))
+        .map(|_| random_polynomial(n, rng.gen_range(1..7), n.min(4), degree, rng))
+        .collect();
+    let z = random_inputs::<C, _>(n, degree, rng);
+    let ran = if degree + 1 >= width { width } else { 1 };
+    let single = lane_engine.compile(p.clone()).request(&z).run();
+    assert_eq!(
+        single.timings().simd_width,
+        ran,
+        "iteration {iter}: single run at degree {degree} must report width {ran}"
+    );
+    assert!(
+        single.bitwise_eq(&scalar_engine.compile(p).request(&z).run()),
+        "iteration {iter}: width {width}, single degree {degree}"
+    );
+    let sys = lane_engine.compile(system.clone()).request(&z).run();
+    assert_eq!(
+        sys.timings().simd_width,
+        ran,
+        "iteration {iter}: system run at degree {degree} must report width {ran}"
+    );
+    assert!(
+        sys.bitwise_eq(&scalar_engine.compile(system).request(&z).run()),
+        "iteration {iter}: width {width}, system degree {degree}"
+    );
 }
 
 #[test]

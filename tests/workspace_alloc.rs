@@ -156,6 +156,50 @@ fn assert_zero_alloc_system(label: &str) {
     assert!(reference.bitwise_eq(&out), "{label}: results drifted");
 }
 
+/// Single and system evaluation on coefficient lanes at `ForceWidth(8)`:
+/// the lane staging is workspace scratch like the instance panels, so an
+/// explicit workspace is allocation-free from its first call and the pooled
+/// path from its second.
+fn assert_zero_alloc_coeff_lanes(d: usize) {
+    use psmd_core::SimdMode;
+    let engine = Engine::builder()
+        .threads(0)
+        .simd(SimdMode::ForceWidth(8))
+        .build();
+    let mut rng = StdRng::seed_from_u64(37);
+    let z = random_inputs::<Qd, _>(6, d, &mut rng);
+    let plans = [
+        ("single", engine.compile(paper_example(d))),
+        ("system", engine.compile(paper_system(d))),
+    ];
+    for (label, plan) in plans {
+        let mut out = plan.request(&z).run();
+        assert_eq!(out.timings().simd_width, 8, "{label} d={d}: lanes engaged");
+        let reference = plan.request(&z).run();
+        let mut ws = plan.create_workspace();
+        let (allocs, deallocs, bytes) = measure(|| {
+            plan.request(&z).workspace(&mut ws).into(&mut out).run();
+        });
+        assert_eq!(
+            allocs, 0,
+            "{label} d={d}: first-call allocations ({bytes} B)"
+        );
+        assert_eq!(deallocs, 0, "{label} d={d}: first-call deallocations");
+        plan.request(&z).into(&mut out).run();
+        let (allocs, deallocs, bytes) = measure(|| {
+            for _ in 0..3 {
+                plan.request(&z).into(&mut out).run();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "{label} d={d}: steady-state allocations ({bytes} B)"
+        );
+        assert_eq!(deallocs, 0, "{label} d={d}: steady-state deallocations");
+        assert!(reference.bitwise_eq(&out), "{label} d={d}: results drifted");
+    }
+}
+
 /// Steady-state launcher-side allocation count of the reused-output path on a
 /// 2-worker engine at one degree (per-launch control overhead only; the
 /// counters are thread-local, so this sees exactly what the evaluating
@@ -196,6 +240,9 @@ fn steady_state_evaluation_is_allocation_free() {
     for width in SimdMode::SUPPORTED_WIDTHS {
         assert_zero_alloc_batch_simd(SimdMode::ForceWidth(width), "batch/simd-forced");
     }
+    // Coefficient lanes (single and system runs) obey the same discipline.
+    assert_zero_alloc_coeff_lanes(8);
+    assert_zero_alloc_coeff_lanes(63);
 
     // The explicit-workspace path is allocation-free from the FIRST call:
     // `create_workspace` pre-warms every buffer.
